@@ -1,20 +1,18 @@
-"""Ablation benchmarks for the simulation substrate.
+"""Ablation benchmarks for the simulation substrate: event-driven processor
+sharing vs plain FCFS at the application tier (DESIGN.md's starred
+station-model decision) — compares both the cost and the response-time
+behaviour the choice buys.
 
-* event-driven processor sharing vs plain FCFS at the application tier
-  (DESIGN.md's starred station-model decision) — compares both the cost and
-  the response-time behaviour the choice buys;
-* raw simulator event rate, the number that bounds every measured curve.
+The simulator's event rate is measured by ``python -m bench`` (metric
+``sim.engine.events_per_s`` on the ``testbed`` workload).
 """
 
 import numpy as np
 
-from repro.servers.catalogue import APP_SERV_F
 from repro.simulation.engine import Simulator
 from repro.simulation.resources import FifoServer, ProcessorSharingServer
-from repro.simulation.system import SimulationConfig, simulate_deployment
 from repro.util.rng import spawn_rng
 from repro.util.tables import format_table
-from repro.workload.trade import typical_workload
 
 
 def _drive(station, rng, n_jobs=20_000, lam=0.12, mean_service=5.376):
@@ -73,18 +71,3 @@ def test_bench_station_model_report(benchmark, emit):
         )
 
     emit("ablation_station", benchmark.pedantic(build_report, rounds=1, iterations=1))
-
-
-def test_bench_simulator_event_rate(benchmark, emit):
-    """Events per second of the full Trade deployment at saturation."""
-    config = SimulationConfig(duration_s=20.0, warmup_s=5.0, seed=3)
-
-    def run():
-        return simulate_deployment(APP_SERV_F, typical_workload(1500), config)
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    emit(
-        "simulator_event_rate",
-        f"events processed per run: {result.events_processed}\n"
-        f"samples collected: {result.samples}",
-    )

@@ -7,11 +7,15 @@ repository (delete the directory or set ``REPRO_NO_DISK_CACHE=1`` to force
 fresh runs).
 
 Everything here is keyed by the full parameter set, so changing the scenario
-invalidates naturally.
+invalidates naturally.  Disk entries are also keyed by a digest of the
+simulator's and workload package's sources, so a code change to either can
+never be served results the old code measured.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import pickle
 from pathlib import Path
@@ -34,6 +38,24 @@ __all__ = [
 
 _MEMORY: dict[Any, Any] = {}
 
+# Packages whose code determines every measured value.
+_SOURCE_DIRS: tuple[Path, ...] = tuple(
+    Path(__file__).resolve().parents[1] / package for package in ("simulation", "workload")
+)
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the ``.py`` files under :data:`_SOURCE_DIRS` (computed once)."""
+    digest = hashlib.sha256()
+    for directory in _SOURCE_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            digest.update(path.relative_to(directory.parent).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
 
 def _disk_cache_path() -> Path | None:
     if os.environ.get("REPRO_NO_DISK_CACHE"):
@@ -53,15 +75,14 @@ def _cached(key: tuple, compute):
     disk = _disk_cache_path()
     file = None
     if disk is not None:
-        import hashlib
-
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:24]
+        disk_key = (key, _source_digest())
+        digest = hashlib.sha256(repr(disk_key).encode("utf-8")).hexdigest()[:24]
         file = disk / (digest + ".pkl")
         if file.exists():
             try:
                 with open(file, "rb") as fh:
                     stored_key, value = pickle.load(fh)
-                if stored_key == key:
+                if stored_key == disk_key:
                     _MEMORY[key] = value
                     return value
             except Exception:  # pragma: no cover - corrupt cache entry
@@ -71,7 +92,7 @@ def _cached(key: tuple, compute):
     if file is not None:
         try:
             with open(file, "wb") as fh:
-                pickle.dump((key, value), fh)
+                pickle.dump((disk_key, value), fh)
         except OSError:  # pragma: no cover - disk full etc.
             pass
     return value

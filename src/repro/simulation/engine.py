@@ -9,13 +9,14 @@ Time unit is **milliseconds** throughout (see :mod:`repro.util.units`).
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.simulation.events import Event, EventPriority
 from repro.trace import TRACER
 from repro.util.errors import SimulationError
-from repro.util.validation import check_non_negative
+from repro.util.validation import check_non_negative_real
 
 __all__ = ["Simulator", "EVENT_TRACE_SAMPLE"]
 
@@ -25,13 +26,20 @@ __all__ = ["Simulator", "EVENT_TRACE_SAMPLE"]
 # the timeline at negligible overhead.
 EVENT_TRACE_SAMPLE = 1024
 
+_INF = math.inf
+
 
 class Simulator:
-    """A discrete-event simulator clock and event calendar."""
+    """A discrete-event simulator clock and event calendar.
+
+    The calendar is a heap of ``(time, priority, seq, event)`` tuples, so
+    ordering is a C-level tuple compare; ``seq`` is unique, so the compare
+    never reaches the :class:`Event`.
+    """
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq: int = 0
         self._running = False
         self.events_processed: int = 0
@@ -53,7 +61,10 @@ class Simulator:
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method can be
         used to retract it.
         """
-        check_non_negative(delay_ms, "delay_ms")
+        # Fast path for the common finite non-negative float; anything else
+        # gets the full check (and its ValidationError).
+        if not (delay_ms.__class__ is float and 0.0 <= delay_ms < _INF):
+            check_non_negative_real(delay_ms, "delay_ms")
         return self.schedule_at(self._now + delay_ms, callback, priority=priority)
 
     def schedule_at(
@@ -64,13 +75,16 @@ class Simulator:
         priority: int = EventPriority.CONTROL,
     ) -> Event:
         """Schedule ``callback`` at absolute time ``time_ms``."""
+        if not (time_ms.__class__ is float and 0.0 <= time_ms < _INF):
+            check_non_negative_real(time_ms, "time_ms")
         if time_ms < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time_ms} before current time t={self._now}"
             )
-        event = Event(time=time_ms, priority=priority, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time_ms, priority, seq, callback)
+        heappush(self._heap, (time_ms, priority, seq, event))
         return event
 
     def run_until(self, end_time_ms: float, *, max_events: int | None = None) -> None:
@@ -88,14 +102,15 @@ class Simulator:
             raise SimulationError("run_until called re-entrantly")
         self._running = True
         trace_on = TRACER.enabled  # hoisted: keep the event loop's hot path flat
+        heap = self._heap
         with TRACER.span("sim.run_until", end_time_ms=end_time_ms):
             try:
                 processed = 0
-                while self._heap and self._heap[0].time <= end_time_ms:
-                    event = heapq.heappop(self._heap)
+                while heap and heap[0][0] <= end_time_ms:
+                    time_ms, _, _, event = heappop(heap)
                     if event.cancelled:
                         continue
-                    self._now = event.time
+                    self._now = time_ms
                     event.callback()
                     self.events_processed += 1
                     processed += 1
@@ -115,7 +130,7 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still in the calendar."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now:.3f}ms, pending={len(self._heap)})"

@@ -1,14 +1,16 @@
 """Event records for the discrete-event engine.
 
-Events are ordered by ``(time, priority, seq)``.  ``seq`` is a monotonically
+Events fire in ``(time, priority, seq)`` order.  ``seq`` is a monotonically
 increasing tie-breaker so that events scheduled earlier fire earlier among
 equal timestamps, which makes simulations deterministic regardless of heap
-internals.
+internals.  The engine's heap holds ``(time, priority, seq, event)`` tuples
+rather than events, so ordering is a C-level tuple compare; ``seq`` is
+unique, so the compare never reaches the event itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["Event", "EventPriority"]
@@ -27,7 +29,7 @@ class EventPriority:
     CONTROL = 2
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
@@ -38,8 +40,8 @@ class Event:
     time: float
     priority: int
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark this event so the engine skips it when it is popped."""

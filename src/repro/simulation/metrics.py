@@ -8,14 +8,17 @@ from the simulated ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.util.units import throughput_req_per_s
-from repro.util.validation import check_fraction, check_non_negative
+from repro.util.validation import check_fraction, check_non_negative_real
 
 __all__ = ["ResponseTimeStats", "MetricsCollector"]
+
+_INF = math.inf
 
 
 @dataclass
@@ -26,7 +29,10 @@ class ResponseTimeStats:
 
     def record(self, response_ms: float) -> None:
         """Record one completed request's response time (ms)."""
-        check_non_negative(response_ms, "response_ms")
+        # Fast path for the common finite non-negative float; anything else
+        # gets the full check (and its ValidationError).
+        if not (response_ms.__class__ is float and 0.0 <= response_ms < _INF):
+            check_non_negative_real(response_ms, "response_ms")
         self.samples.append(response_ms)
 
     @property

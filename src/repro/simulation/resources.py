@@ -21,8 +21,10 @@ state changes, then schedules the next completion exactly.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -32,7 +34,7 @@ from repro.simulation.events import Event, EventPriority
 from repro.trace import TRACER
 from repro.util.errors import SimulationError
 from repro.util.validation import (
-    check_non_negative,
+    check_non_negative_real,
     check_positive,
     check_positive_int,
     require,
@@ -44,6 +46,9 @@ __all__ = ["ProcessorSharingServer", "FifoServer", "ThreadPool", "StationStats"]
 # considered finished; guards against float drift producing zero-length
 # reschedule loops.
 _WORK_EPS = 1e-9
+
+_INF = math.inf
+_remaining_ms = attrgetter("remaining_ms")
 
 
 def _check_capacity(capacity: int | None, servers: int) -> int | None:
@@ -125,7 +130,8 @@ class StationStats:
         return self.area_in_queue / elapsed if elapsed > 0 else 0.0
 
 
-@dataclass(slots=True)
+# ``eq=False``: jobs compare (and ``list.remove`` finds them) by identity.
+@dataclass(slots=True, eq=False)
 class _PsJob:
     remaining_ms: float  # work left, in ms at speed 1.0
     done_cb: Callable[[], None]
@@ -203,7 +209,10 @@ class ProcessorSharingServer:
         Zero-work requests complete immediately (still counted as
         completions).
         """
-        check_non_negative(work_ms, "work_ms")
+        # Fast path for the common finite non-negative float; anything else
+        # gets the full check (and its ValidationError).
+        if not (work_ms.__class__ is float and 0.0 <= work_ms < _INF):
+            check_non_negative_real(work_ms, "work_ms")
         self._advance()
         self.stats.arrivals += 1
         if not _admit(self, self.total_in_system):
@@ -262,17 +271,22 @@ class ProcessorSharingServer:
         if elapsed < 0:
             raise SimulationError(f"{self.name}: clock moved backwards")
         if elapsed > 0:
-            n = len(self._in_service)
+            in_service = self._in_service
+            n = len(in_service)
+            n_queued = len(self._queue)
+            stats = self.stats
             if n > 0:
                 busy_cores = min(n, self.cores)
+                # Each job's own subtraction, not a shared virtual clock:
+                # the floats must round exactly as they always have.
                 per_job = elapsed * self.speed * busy_cores / n
-                for job in self._in_service:
+                for job in in_service:
                     job.remaining_ms -= per_job
                 # Utilisation is per core: n jobs keep min(n, cores) cores busy.
-                self.stats.busy_time_ms += elapsed * (busy_cores / self.cores)
-                self.stats.work_done_ms += elapsed * self.speed * busy_cores
-            self.stats.area_in_system += elapsed * (n + len(self._queue))
-            self.stats.area_in_queue += elapsed * len(self._queue)
+                stats.busy_time_ms += elapsed * (busy_cores / self.cores)
+                stats.work_done_ms += elapsed * self.speed * busy_cores
+            stats.area_in_system += elapsed * (n + n_queued)
+            stats.area_in_queue += elapsed * n_queued
         self._last_update_ms = now
 
     def _reschedule(self) -> None:
@@ -280,10 +294,11 @@ class ProcessorSharingServer:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        if not self._in_service:
+        in_service = self._in_service
+        if not in_service:
             return
-        n = len(self._in_service)
-        min_remaining = min(job.remaining_ms for job in self._in_service)
+        n = len(in_service)
+        min_remaining = min(map(_remaining_ms, in_service))
         rate = self.speed * min(n, self.cores) / n  # per-job progress rate
         delay = max(min_remaining, 0.0) / rate
         self._completion_event = self.sim.schedule(
@@ -293,15 +308,17 @@ class ProcessorSharingServer:
     def _on_completion(self) -> None:
         self._completion_event = None
         self._advance()
-        finished = [j for j in self._in_service if j.remaining_ms <= _WORK_EPS]
+        in_service = self._in_service
+        finished = [j for j in in_service if j.remaining_ms <= _WORK_EPS]
         if not finished:
             # Float drift: the nominal completer still has (tiny) work left.
             self._reschedule()
             return
         for job in finished:
-            self._in_service.remove(job)
-        while self._queue and len(self._in_service) < self.max_concurrency:
-            self._in_service.append(self._queue.popleft())
+            in_service.remove(job)
+        queue = self._queue
+        while queue and len(in_service) < self.max_concurrency:
+            in_service.append(queue.popleft())
         self._reschedule()
         # Callbacks run after the station state is consistent so re-entrant
         # submits from a callback see the post-departure state.
@@ -310,7 +327,7 @@ class ProcessorSharingServer:
             job.done_cb()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _FifoJob:
     service_ms: float
     done_cb: Callable[[], None]
@@ -360,7 +377,8 @@ class FifoServer:
         Returns ``True`` when admitted (``done_cb`` fires at completion),
         ``False`` when dropped at ``capacity`` or balked — no callback.
         """
-        check_non_negative(service_ms, "service_ms")
+        if not (service_ms.__class__ is float and 0.0 <= service_ms < _INF):
+            check_non_negative_real(service_ms, "service_ms")
         self._accumulate()
         self.stats.arrivals += 1
         if not _admit(self, self.total_in_system):

@@ -8,6 +8,7 @@ needs to catch one type.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, Sequence, TypeVar
 
 from repro.util.errors import ValidationError
@@ -46,6 +47,14 @@ def check_non_negative(value: float, name: str) -> float:
     if fval < 0.0:
         raise ValidationError(f"{name} must be >= 0, got {fval!r}")
     return fval
+
+
+def check_non_negative_real(value: float, name: str) -> float:
+    """Like :func:`check_non_negative`, but also reject values that are not
+    real numbers even where ``float()`` would parse them (``"1"``)."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return check_non_negative(value, name)
 
 
 def check_fraction(value: float, name: str) -> float:

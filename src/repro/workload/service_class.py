@@ -16,6 +16,7 @@ Two behaviours are supported, matching the paper's case study:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,19 @@ __all__ = ["OperationMix", "ScriptedSession", "ServiceClass"]
 
 @dataclass(frozen=True)
 class OperationMix:
-    """Random selection of the next operation with fixed probabilities."""
+    """Random selection of the next operation with fixed probabilities.
+
+    The draw is NumPy's own: ``Generator.choice(n, p=p)`` for a single
+    index normalises ``cumsum(p)`` by its last entry, consumes one
+    ``random()`` double ``u`` and returns the first index whose CDF entry
+    exceeds ``u``.  :meth:`next_operation` does exactly that against a CDF
+    computed once here, so it returns the same index and leaves the
+    generator in the same state, without re-validating ``p`` per request.
+    """
 
     operations: tuple[Operation, ...]
     probabilities: tuple[float, ...]
+    _cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_non_empty(self.operations, "operations")
@@ -46,11 +56,13 @@ class OperationMix:
             "operations and probabilities must have equal length",
         )
         check_probabilities_sum_to_one(self.probabilities, "probabilities")
+        cdf = np.cumsum(np.asarray(self.probabilities, dtype=np.float64))
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", tuple(cdf.tolist()))
 
     def next_operation(self, rng: np.random.Generator, _position: int) -> Operation:
         """Draw the next operation (position in session is ignored)."""
-        idx = int(rng.choice(len(self.operations), p=np.asarray(self.probabilities)))
-        return self.operations[idx]
+        return self.operations[bisect_right(self._cdf, rng.random())]
 
     def mean_app_demand_ms(self) -> float:
         """Probability-weighted mean application-server demand (ms)."""

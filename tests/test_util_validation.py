@@ -13,6 +13,7 @@ from repro.util.validation import (
     check_non_empty,
     check_non_negative,
     check_non_negative_int,
+    check_non_negative_real,
     check_positive,
     check_positive_int,
     check_probabilities_sum_to_one,
@@ -74,6 +75,17 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError, match=">= 0"):
             check_non_negative(-0.1, "x")
+
+
+class TestCheckNonNegativeReal:
+    @pytest.mark.parametrize("ok", [0.0, 2, 3.5])
+    def test_accepts_real_numbers(self, ok):
+        assert check_non_negative_real(ok, "x") == float(ok)
+
+    @pytest.mark.parametrize("bad", ["1", b"1", None, -0.1, float("nan"), float("inf")])
+    def test_rejects_non_reals_that_float_would_parse(self, bad):
+        with pytest.raises(ValidationError):
+            check_non_negative_real(bad, "x")
 
 
 class TestCheckFraction:
