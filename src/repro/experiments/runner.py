@@ -41,7 +41,6 @@ EXPERIMENTS: dict[str, str] = {
     "tracing": "repro.experiments.tracing",
     "chaos": "repro.experiments.chaos",
     "workloads": "repro.experiments.workloads",
-    "sharded_serving": "repro.experiments.sharded_serving",
     "overload": "repro.experiments.overload",
 }
 

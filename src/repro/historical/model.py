@@ -32,7 +32,7 @@ from repro.historical.throughput import ThroughputModel
 from repro.trace import TRACER
 from repro.util.errors import CalibrationError
 from repro.util.floats import is_negligible
-from repro.util.validation import check_fraction, check_positive
+from repro.util.validation import check_fraction, check_non_negative, check_positive
 
 __all__ = ["HistoricalModel"]
 
@@ -275,6 +275,7 @@ class HistoricalModel:
         if INJECTOR.armed:
             INJECTOR.fire("historical.predict")
         check_fraction(buy_fraction, "buy_fraction")
+        check_non_negative(n_clients, "n_clients")
         with self._lock:
             self.predictions_made += 1
         with TRACER.span("historical.predict", op="throughput", server=server):

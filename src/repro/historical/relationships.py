@@ -25,7 +25,7 @@ from repro.historical.datastore import HistoricalDataPoint
 from repro.historical.fitting import fit_exponential, fit_linear
 from repro.util.errors import CalibrationError
 from repro.util.floats import is_negligible
-from repro.util.validation import check_positive, require
+from repro.util.validation import check_non_negative, check_positive, require
 
 __all__ = [
     "LowerEquation",
@@ -199,7 +199,7 @@ class PiecewiseResponseModel:
 
     def predict_ms(self, n_clients: float) -> float:
         """Predicted mean response time at ``n_clients`` (ms)."""
-        require(n_clients >= 0, "n_clients must be >= 0")
+        check_non_negative(n_clients, "n_clients")
         if n_clients <= self.transition.n_start:
             return self.lower.predict_ms(n_clients)
         if n_clients >= self.transition.n_end:

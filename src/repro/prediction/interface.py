@@ -27,6 +27,7 @@ from repro.lqn.builder import TradeModelParameters, build_trade_model
 from repro.lqn.solver import LqnSolver, SolverOptions
 from repro.servers.architecture import ServerArchitecture
 from repro.util.errors import CalibrationError
+from repro.util.validation import check_non_negative, check_positive
 from repro.workload.trade import mixed_workload
 
 __all__ = [
@@ -190,10 +191,20 @@ class LqnPredictor:
                 f"{sorted(self.architectures)}"
             ) from None
 
+    @staticmethod
+    def _population(n_clients: float) -> int:
+        """The whole-client population a model is built for.
+
+        A negative, NaN or infinite count raises
+        :class:`~repro.util.errors.ValidationError`, as the historical
+        and hybrid methods do; 0 is solved as one client.
+        """
+        return max(1, int(round(check_non_negative(n_clients, "n_clients"))))
+
     def _solve(self, server: str, n_clients: float, buy_fraction: float):
         model = build_trade_model(
             self._arch(server),
-            mixed_workload(max(1, int(round(n_clients))), buy_fraction),
+            mixed_workload(self._population(n_clients), buy_fraction),
             self.parameters,
         )
         return self.solver.solve(model)
@@ -219,7 +230,7 @@ class LqnPredictor:
             models = [
                 build_trade_model(
                     self._arch(server),
-                    mixed_workload(max(1, int(round(n_clients))), buy_fraction),
+                    mixed_workload(self._population(n_clients), buy_fraction),
                     self.parameters,
                 )
                 for server, n_clients, buy_fraction in points
@@ -254,6 +265,7 @@ class LqnPredictor:
         """
         start = time.perf_counter()
         try:
+            check_positive(rt_goal_ms, "rt_goal_ms")
             arch = self._arch(server)
 
             def build(n: int):

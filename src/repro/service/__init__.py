@@ -1,4 +1,4 @@
-"""The online prediction-serving layer (the repo's "millions of users" seam).
+"""The online prediction-serving layer.
 
 Section 8.5 of the paper establishes that prediction *delay* decides
 which method a resource manager can afford online: historical answers in
@@ -21,15 +21,8 @@ service that changes that arithmetic:
 * :mod:`repro.service.service` — the :class:`PredictionService` facade
   composing all of the above behind the ``Predictor`` protocol, with
   graceful degradation to a registered fast fallback predictor;
-* :mod:`repro.service.loadgen` — closed-loop load generation: a
-  multi-threaded wall-clock generator and a deterministic virtual-time
-  fleet driver scaling to millions of modelled users;
-* :mod:`repro.service.shard` — sharded serving: N service stacks
-  (inline or one per worker process) behind a consistent-hash router,
-  with a cross-shard L2 cache, per-shard breaker-driven health/ejection
-  and mergeable cluster metrics.  Imported on demand (``from
-  repro.service.shard import ...``), not re-exported here, to keep the
-  single-service import light.
+* :mod:`repro.service.loadgen` — closed-loop, multi-threaded
+  wall-clock load generation against any ``Predictor``-protocol target.
 """
 
 from repro.service.admission import (
@@ -46,15 +39,7 @@ from repro.service.breaker import (
     CircuitOpenError,
 )
 from repro.service.cache import CacheKey, CacheStats, PredictionCache, quantize_key
-from repro.service.loadgen import (
-    CostModel,
-    FleetConfig,
-    FleetLoadGenerator,
-    FleetReport,
-    LoadGenConfig,
-    LoadGenerator,
-    LoadReport,
-)
+from repro.service.loadgen import LoadGenConfig, LoadGenerator, LoadReport
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -63,7 +48,6 @@ from repro.service.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     bucket_quantile,
-    merge_snapshots,
 )
 from repro.service.pool import CoalescingPool, PoolStats
 from repro.service.service import PredictionService, ServiceConfig
@@ -92,13 +76,8 @@ __all__ = [
     "LatencyHistogram",
     "HistogramSnapshot",
     "MetricsSnapshot",
-    "merge_snapshots",
     "bucket_quantile",
     "LoadGenerator",
     "LoadGenConfig",
     "LoadReport",
-    "CostModel",
-    "FleetConfig",
-    "FleetLoadGenerator",
-    "FleetReport",
 ]

@@ -136,22 +136,6 @@ class CircuitBreaker:
         with self._lock:
             return self._rejected_total
 
-    @property
-    def recovery_due(self) -> bool:
-        """OPEN with the recovery window elapsed (next ``allow()`` probes).
-
-        A pure query: unlike :meth:`allow` it performs no transition, so
-        policy layers (the shard router's health board) can distinguish
-        "ejected, keep away" from "ejected, but owed a probe" without
-        spending probe slots.
-        """
-        with self._lock:
-            return (
-                self._state is BreakerState.OPEN
-                and self._clock.monotonic_s() - self._opened_at_s
-                >= self.config.recovery_time_s
-            )
-
     def transitions(self) -> list[tuple[float, str, str]]:
         """Every ``(at_s, from_state, to_state)`` transition so far."""
         with self._lock:

@@ -18,6 +18,7 @@ recalibrated (section 4.2's workload-manager loop).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -25,7 +26,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.faults.injector import INJECTOR
-from repro.util.validation import check_positive_int, require
+from repro.util.validation import (
+    check_finite,
+    check_non_negative,
+    check_positive_int,
+    require,
+)
 
 __all__ = ["CacheKey", "CacheStats", "PredictionCache", "quantize_key"]
 
@@ -62,9 +68,17 @@ def quantize_key(
     resolutions at which the paper's models are meaningfully distinct
     (whole clients, 1 % mix steps).  Coarser steps raise hit rates at
     the price of answering from a neighbouring operating point.
+
+    A NaN, infinite or negative ``operand`` and a NaN or infinite
+    ``buy_fraction`` raise :class:`~repro.util.errors.ValidationError`
+    here, so a bad request never reaches the cache, the pool or a
+    circuit breaker.
     """
     require(operand_step > 0.0, "operand_step must be positive")
     require(buy_step > 0.0, "buy_step must be positive")
+    if not (0.0 <= operand < math.inf and math.isfinite(buy_fraction)):
+        check_non_negative(operand, "operand")
+        check_finite(buy_fraction, "buy_fraction")
     return CacheKey(
         server=server,
         kind=kind,

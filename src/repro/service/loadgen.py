@@ -2,28 +2,13 @@
 
 The paper measured its testbed with JMeter driving closed client
 populations; this module is the analogue for the prediction service
-itself, in two regimes:
-
-* :class:`LoadGenerator` — N generator *threads* each issue requests
-  back-to-back (optionally with a think time) against anything serving
-  the ``Predictor`` protocol (a single service or a sharded cluster),
-  drawing operating points from seeded per-thread random streams so
-  runs are reproducible and threads are decorrelated
-  (:mod:`repro.util.rng`'s common-random-numbers discipline).  It
-  measures real wall-clock throughput, so its numbers are only as
-  parallel as the machine running it.
-* :class:`FleetLoadGenerator` — a **deterministic virtual-time fleet
-  driver** modelling closed client populations far beyond what one
-  machine can thread (10⁶ users is a config value, not a thread
-  count).  Every request executes *for real* through the target (real
-  caches, routing, health), but time is charged from an explicit
-  :class:`CostModel` per routing outcome, and the elapsed virtual time
-  of the run is the binding bottleneck: the router's busy time, the
-  busiest shard's busy time, or the closed-loop think-time bound,
-  whichever is largest.  Two runs with one seed produce byte-identical
-  reports — this is the regime the serving benchmark and its CI
-  determinism gate run (see DESIGN.md: "Why a virtual-time serving
-  benchmark").
+itself.  :class:`LoadGenerator` runs N generator *threads*, each issuing
+requests back-to-back (optionally with a think time) against anything
+serving the ``Predictor`` protocol, drawing operating points from
+seeded per-thread random streams so runs are reproducible and threads
+are decorrelated (:mod:`repro.util.rng`'s common-random-numbers
+discipline).  It measures real wall-clock throughput, so its numbers
+are only as parallel as the machine running it.
 """
 
 from __future__ import annotations
@@ -33,20 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.service.metrics import LatencyHistogram
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.rng import spawn_rng
 from repro.util.validation import check_positive_int, require
 
-__all__ = [
-    "LoadGenConfig",
-    "LoadReport",
-    "LoadGenerator",
-    "CostModel",
-    "FleetConfig",
-    "FleetReport",
-    "FleetLoadGenerator",
-]
+__all__ = ["LoadGenConfig", "LoadReport", "LoadGenerator"]
 
 
 @dataclass(frozen=True)
@@ -100,30 +76,12 @@ class LoadReport:
     metrics: dict[str, float] = field(default_factory=dict)
 
 
-def _draw_request(config, rng, ops: list[str], probs: list[float]):
-    """Draw one ``(op, server, operand, buy_fraction)`` from the config.
-
-    Shared by both generator regimes so a wall-clock run and a
-    virtual-time run with the same seed issue the *same* request
-    sequence (per stream) — the common-random-numbers discipline.
-    """
-    server = config.servers[int(rng.integers(0, len(config.servers)))]
-    lo, hi = config.client_range
-    n_clients = int(rng.integers(lo, hi + 1))
-    buy = config.buy_fractions[int(rng.integers(0, len(config.buy_fractions)))]
-    op = ops[int(rng.choice(len(ops), p=probs))]
-    operand = config.capacity_goal_ms if op == "capacity" else float(n_clients)
-    return op, server, operand, buy
-
-
 class LoadGenerator:
     """Drive any ``Predictor``-protocol target under wall-clock load.
 
     The target needs the three prediction methods plus
-    ``export_metrics()`` — a :class:`~repro.service.service.PredictionService`
-    and a :class:`~repro.service.shard.router.ShardedPredictionService`
-    both qualify, so the same generator benchmarks one stack or a
-    sharded cluster.
+    ``export_metrics()``, which a
+    :class:`~repro.service.service.PredictionService` provides.
     """
 
     def __init__(
@@ -148,9 +106,13 @@ class LoadGenerator:
 
     def _one_request(self, rng) -> None:
         """Issue one randomly drawn request against the service."""
-        op, server, operand, buy = _draw_request(
-            self.config, rng, self._ops, self._probs
-        )
+        config = self.config
+        server = config.servers[int(rng.integers(0, len(config.servers)))]
+        lo, hi = config.client_range
+        n_clients = int(rng.integers(lo, hi + 1))
+        buy = config.buy_fractions[int(rng.integers(0, len(config.buy_fractions)))]
+        op = self._ops[int(rng.choice(len(self._ops), p=self._probs))]
+        operand = config.capacity_goal_ms if op == "capacity" else float(n_clients)
         if op == "mrt":
             self.service.predict_mrt_ms(server, operand, buy_fraction=buy)
         elif op == "throughput":
@@ -214,247 +176,3 @@ class LoadGenerator:
             metrics=self.service.export_metrics(),
         )
 
-
-# ---------------------------------------------------------------------------
-# The deterministic virtual-time fleet driver
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Virtual time charged per routing outcome, in explicit units.
-
-    These are *model parameters*, not measurements: they encode the
-    relative costs the serving design is about (a routed L1 hit is tens
-    of µs, an L2 consult adds IPC-scale cost, a miss pays a full
-    LQN-solve-scale compute) so that sharding arithmetic — how
-    throughput scales when compute parallelizes but routing does not —
-    is deterministic and machine-independent.  The benchmark publishes
-    the model alongside every number it produces.
-    """
-
-    route_us: float = 3.0  # router hash + ring lookup + health check
-    reroute_us: float = 8.0  # each failed candidate before the server
-    l1_hit_us: float = 12.0  # answered from the shard's own cache
-    l2_hit_us: float = 40.0  # answered from the shared store (IPC-ish)
-    compute_ms: float = 25.0  # full solve on a cache miss
-    error_us: float = 20.0  # a request that exhausted every shard
-
-    def __post_init__(self) -> None:
-        """Validate the cost model."""
-        for name in ("route_us", "reroute_us", "l1_hit_us", "l2_hit_us", "error_us"):
-            require(getattr(self, name) >= 0.0, f"{name} must be >= 0")
-        require(self.compute_ms >= 0.0, "compute_ms must be >= 0")
-
-    def request_cost_s(self, outcome: str, reroutes: int) -> tuple[float, float]:
-        """``(router_s, shard_s)`` virtual cost of one served request."""
-        router_s = (self.route_us + reroutes * self.reroute_us) * 1e-6
-        if outcome == "l1_hit":
-            shard_s = self.l1_hit_us * 1e-6
-        elif outcome == "l2_hit":
-            shard_s = self.l2_hit_us * 1e-6
-        else:  # "computed" and the process backend's opaque "remote"
-            shard_s = self.compute_ms * 1e-3
-        return router_s, shard_s
-
-    def to_jsonable(self) -> dict[str, float]:
-        """The model as a plain dict for benchmark metadata."""
-        return {
-            "route_us": self.route_us,
-            "reroute_us": self.reroute_us,
-            "l1_hit_us": self.l1_hit_us,
-            "l2_hit_us": self.l2_hit_us,
-            "compute_ms": self.compute_ms,
-            "error_us": self.error_us,
-        }
-
-
-@dataclass(frozen=True)
-class FleetConfig:
-    """Shape of one virtual-time fleet run.
-
-    ``users`` is the modelled closed population (millions are fine —
-    it is arithmetic, not threads); ``requests`` is how many requests
-    the run actually issues through the target.  The same drawing
-    fields as :class:`LoadGenConfig` shape the request mix.
-    """
-
-    users: int = 1_000_000
-    requests: int = 10_000
-    think_time_s: float = 7.0  # the paper's testbed used think times of seconds
-    servers: tuple[str, ...] = ("AppServS",)
-    client_range: tuple[int, int] = (100, 1100)
-    buy_fractions: tuple[float, ...] = (0.0,)
-    operation_weights: tuple[tuple[str, float], ...] = (("mrt", 0.8), ("throughput", 0.2))
-    capacity_goal_ms: float = 500.0
-    seed: int = 2004
-    cost_model: CostModel = field(default_factory=CostModel)
-
-    def __post_init__(self) -> None:
-        """Validate the run shape."""
-        check_positive_int(self.users, "users")
-        check_positive_int(self.requests, "requests")
-        require(self.think_time_s >= 0.0, "think_time_s must be >= 0")
-        require(len(self.servers) > 0, "servers must be non-empty")
-        require(
-            self.client_range[0] >= 1 and self.client_range[1] >= self.client_range[0],
-            "client_range must be a non-empty range of positive counts",
-        )
-        known = {"mrt", "throughput", "capacity"}
-        require(len(self.operation_weights) > 0, "operation_weights must be non-empty")
-        require(
-            all(op in known for op, _ in self.operation_weights),
-            f"operations must be among {sorted(known)}",
-        )
-        require(
-            all(w >= 0 for _, w in self.operation_weights)
-            and sum(w for _, w in self.operation_weights) > 0,
-            "operation weights must be non-negative and not all zero",
-        )
-
-
-@dataclass
-class FleetReport:
-    """What one virtual-time fleet run measured (all times virtual)."""
-
-    requests: int
-    errors: int
-    elapsed_virtual_s: float
-    throughput_rps: float
-    bottleneck: str  # "router" | "shard" | "think"
-    router_busy_s: float
-    max_shard_busy_s: float
-    think_bound_s: float
-    outcomes: dict[str, int] = field(default_factory=dict)
-    per_shard_busy_s: dict[str, float] = field(default_factory=dict)
-    latency: dict[str, float] = field(default_factory=dict)
-    metrics: dict[str, float] = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """The report as sorted plain data for byte-stable JSON dumps."""
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "elapsed_virtual_s": self.elapsed_virtual_s,
-            "throughput_rps": self.throughput_rps,
-            "bottleneck": self.bottleneck,
-            "router_busy_s": self.router_busy_s,
-            "max_shard_busy_s": self.max_shard_busy_s,
-            "think_bound_s": self.think_bound_s,
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "per_shard_busy_s": dict(sorted(self.per_shard_busy_s.items())),
-            "latency": dict(sorted(self.latency.items())),
-            "metrics": dict(sorted(self.metrics.items())),
-        }
-
-
-class FleetLoadGenerator:
-    """Drive a sharded target with a modelled closed-loop client fleet.
-
-    The target must expose ``serve_info(op, server, operand,
-    buy_fraction)`` returning an object with ``shard``/``outcome``/
-    ``reroutes`` attributes — i.e. a
-    :class:`~repro.service.shard.router.ShardedPredictionService` (over
-    any backend).  Each issued request *really executes* (real caches
-    warm, real health settles, real metrics accumulate); only its cost
-    is virtual, charged per :class:`CostModel`.
-
-    The run's elapsed virtual time is ``max(router busy, busiest shard
-    busy, think bound)``:
-
-    * shards serve in parallel, so the fleet's compute capacity is the
-      *busiest* shard's serialized work — this is where shard count
-      buys throughput;
-    * the router is serial in this model (one hash pipeline), the
-      canonical scaling ceiling;
-    * a closed population of U users with think time Z issues at most
-      ``U/Z`` requests per virtual second in aggregate, so R requests
-      take at least ``R·Z/U`` — the fleet-size bound (the paper's
-      closed-loop arithmetic, sec. 8.5's N/(Z+R) shape).
-
-    ``on_request(completed, ok)`` fires after every request — the chaos
-    experiment uses it to advance a shared FakeClock so fault windows
-    and breaker recovery run on deterministic time.
-    """
-
-    def __init__(
-        self,
-        target: Any,
-        config: FleetConfig | None = None,
-        *,
-        on_request: Callable[[int, bool], None] | None = None,
-    ):
-        self.target = target
-        self.config = config or FleetConfig()
-        self._on_request = on_request
-        total = sum(w for _, w in self.config.operation_weights)
-        self._ops = [op for op, _ in self.config.operation_weights]
-        self._probs = [w / total for _, w in self.config.operation_weights]
-
-    def run(self) -> FleetReport:
-        """Issue the configured request stream and account virtual time."""
-        config = self.config
-        model = config.cost_model
-        rng = spawn_rng(config.seed, "fleet")
-        histogram = LatencyHistogram()
-        router_busy_s = 0.0
-        shard_busy_s: dict[str, float] = {}
-        outcomes: dict[str, int] = {}
-        errors = 0
-        for index in range(config.requests):
-            op, server, operand, buy = _draw_request(config, rng, self._ops, self._probs)
-            try:
-                info = self.target.serve_info(op, server, operand, buy)
-            except Exception:
-                errors += 1
-                cost = model.error_us * 1e-6
-                router_busy_s += cost
-                histogram.observe(cost)
-                outcomes["error"] = outcomes.get("error", 0) + 1
-                if self._on_request is not None:
-                    self._on_request(index + 1, False)
-                continue
-            router_s, shard_s = model.request_cost_s(info.outcome, info.reroutes)
-            router_busy_s += router_s
-            shard_busy_s[info.shard] = shard_busy_s.get(info.shard, 0.0) + shard_s
-            histogram.observe(router_s + shard_s)
-            outcomes[info.outcome] = outcomes.get(info.outcome, 0) + 1
-            if self._on_request is not None:
-                self._on_request(index + 1, True)
-        max_shard_busy_s = max(shard_busy_s.values(), default=0.0)
-        think_bound_s = config.requests * config.think_time_s / config.users
-        elapsed = max(router_busy_s, max_shard_busy_s, think_bound_s)
-        bottleneck = "router"
-        if elapsed == max_shard_busy_s and max_shard_busy_s >= router_busy_s:
-            bottleneck = "shard"
-        if elapsed == think_bound_s and think_bound_s >= max(
-            router_busy_s, max_shard_busy_s
-        ):
-            bottleneck = "think"
-        served = config.requests - errors
-        snapshot = histogram.snapshot()
-        latency = {
-            "mean_s": snapshot.mean_s,
-            "p50_s": snapshot.quantile(0.50),
-            "p95_s": snapshot.quantile(0.95),
-            "p99_s": snapshot.quantile(0.99),
-            "max_s": snapshot.max_s,
-        }
-        metrics: dict[str, float] = {}
-        export = getattr(self.target, "export_metrics", None)
-        if callable(export):
-            metrics = export()
-        return FleetReport(
-            requests=config.requests,
-            errors=errors,
-            elapsed_virtual_s=elapsed,
-            throughput_rps=served / elapsed if elapsed > 0 else 0.0,
-            bottleneck=bottleneck,
-            router_busy_s=router_busy_s,
-            max_shard_busy_s=max_shard_busy_s,
-            think_bound_s=think_bound_s,
-            outcomes=outcomes,
-            per_shard_busy_s=shard_busy_s,
-            latency=latency,
-            metrics=metrics,
-        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.util.validation import require
 
@@ -29,7 +29,6 @@ __all__ = [
     "HistogramSnapshot",
     "MetricsSnapshot",
     "bucket_quantile",
-    "merge_snapshots",
 ]
 
 # Log-spaced bounds from 1 µs to 30 s: fine enough to separate a
@@ -51,10 +50,9 @@ def bucket_quantile(
 
     Linear interpolation inside the bucket containing rank ``q * count``;
     the overflow bucket reports ``max_s``.  Both the live
-    :class:`LatencyHistogram` and merged :class:`HistogramSnapshot`\\ s
-    delegate here, so a quantile computed from merged per-shard buckets
-    is *identical* to the one a single histogram holding the union of
-    observations would report — merging cannot drift the percentiles.
+    :class:`LatencyHistogram` and its :class:`HistogramSnapshot`
+    delegate here, so the live and exported percentiles share one
+    estimator.
     """
     require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")
     if count == 0:
@@ -192,8 +190,8 @@ class LatencyHistogram:
         """Estimated ``q``-quantile (seconds), 0 when empty.
 
         Delegates to :func:`bucket_quantile` on a consistent snapshot of
-        the bucket state, so live and merged-snapshot quantiles share
-        one estimator.
+        the bucket state, so live and snapshot quantiles share one
+        estimator.
         """
         with self._lock:
             counts = tuple(self._counts)
@@ -210,7 +208,7 @@ class LatencyHistogram:
         }
 
     def snapshot(self) -> "HistogramSnapshot":
-        """A consistent, mergeable copy of the full bucket state."""
+        """A consistent copy of the full bucket state."""
         with self._lock:
             return HistogramSnapshot(
                 bounds=self._bounds,
@@ -265,18 +263,17 @@ class MetricsRegistry:
         Histograms export ``<name>.count``, ``<name>.total_s``,
         ``<name>.mean_s``, ``<name>.max_s`` and the three standard
         percentiles, so a single dict carries the whole service state.
-        Equivalent to ``self.snapshot().export()`` — the snapshot path is
-        what cross-process merging uses, and the two must never drift.
+        Equivalent to ``self.snapshot().export()``: both go through the
+        one snapshot path, so they cannot drift.
         """
         return self.snapshot().export()
 
     def snapshot(self) -> "MetricsSnapshot":
-        """A consistent, mergeable, picklable copy of every instrument.
+        """A consistent, point-in-time copy of every instrument.
 
-        This is the unit the sharded serving layer ships across process
-        boundaries: each shard worker snapshots its registry, the router
-        merges the snapshots associatively with :func:`merge_snapshots`,
-        and the merged percentiles are exact (see :func:`bucket_quantile`).
+        Reads every instrument once, so a caller that needs several
+        values from one moment (an experiment's counter deltas, the
+        flat :meth:`export`) sees them together.
         """
         with self._lock:
             counters = dict(self._counters)
@@ -294,14 +291,10 @@ class MetricsRegistry:
 
 @dataclass(frozen=True)
 class HistogramSnapshot:
-    """The full, mergeable state of one fixed-bucket latency histogram.
+    """The full state of one fixed-bucket latency histogram at one moment.
 
-    Unlike the flat percentile export (which is *not* associative —
-    p95s cannot be averaged), the raw bucket counts merge exactly:
-    summing per-shard counts elementwise yields the histogram a single
-    process observing every request would hold, and quantiles computed
-    from the merged buckets equal single-histogram quantiles by
-    construction (both delegate to :func:`bucket_quantile`).
+    Quantiles computed from it equal the live histogram's at the moment
+    it was taken: both delegate to :func:`bucket_quantile`.
     """
 
     bounds: tuple[float, ...]
@@ -327,75 +320,14 @@ class HistogramSnapshot:
             "p99_s": self.quantile(0.99),
         }
 
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        """Elementwise-sum this snapshot with ``other`` (same buckets)."""
-        require(
-            self.bounds == other.bounds,
-            "cannot merge histograms with different bucket bounds",
-        )
-        return HistogramSnapshot(
-            bounds=self.bounds,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            count=self.count + other.count,
-            total_s=self.total_s + other.total_s,
-            max_s=max(self.max_s, other.max_s),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """A plain-JSON rendering (for IPC and recovery reports)."""
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total_s": self.total_s,
-            "max_s": self.max_s,
-        }
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "HistogramSnapshot":
-        """Rebuild a snapshot from :meth:`to_jsonable` output."""
-        return HistogramSnapshot(
-            bounds=tuple(float(b) for b in data["bounds"]),
-            counts=tuple(int(c) for c in data["counts"]),
-            count=int(data["count"]),
-            total_s=float(data["total_s"]),
-            max_s=float(data["max_s"]),
-        )
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """A point-in-time, mergeable copy of one registry's instruments.
-
-    Counters and histogram buckets merge associatively (sums); gauges
-    here are *extensive* quantities (queue depths, in-flight counts)
-    whose cluster-wide value is the sum over shards, so they merge by
-    summation too.  Anything non-additive (hit *rates*, breaker states)
-    is deliberately excluded from snapshots and derived after merging.
-    """
+    """A point-in-time copy of one registry's instruments."""
 
     counters: dict[str, int] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramSnapshot] = field(default_factory=dict)
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The associative merge of two snapshots."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = gauges.get(name, 0.0) + value
-        histograms = dict(self.histograms)
-        for name, snap in other.histograms.items():
-            histograms[name] = (
-                histograms[name].merge(snap) if name in histograms else snap
-            )
-        return MetricsSnapshot(
-            counters=dict(sorted(counters.items())),
-            gauges=dict(sorted(gauges.items())),
-            histograms=dict(sorted(histograms.items())),
-        )
 
     def export(self) -> dict[str, float]:
         """The flat ``{metric_name: value}`` dict (registry-export shape)."""
@@ -412,41 +344,3 @@ class MetricsSnapshot:
             for key, value in histogram.percentiles().items():
                 out[f"{name}.{key}"] = value
         return out
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """A plain-JSON rendering (for IPC and recovery reports)."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: snap.to_jsonable()
-                for name, snap in sorted(self.histograms.items())
-            },
-        }
-
-    @staticmethod
-    def from_jsonable(data: Mapping[str, Any]) -> "MetricsSnapshot":
-        """Rebuild a snapshot from :meth:`to_jsonable` output."""
-        return MetricsSnapshot(
-            counters={str(k): int(v) for k, v in data["counters"].items()},
-            gauges={str(k): float(v) for k, v in data["gauges"].items()},
-            histograms={
-                str(k): HistogramSnapshot.from_jsonable(v)
-                for k, v in data["histograms"].items()
-            },
-        )
-
-
-def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
-    """Merge any number of registry snapshots into one (associatively).
-
-    The identity element is the empty snapshot, so merging zero
-    snapshots is well defined; merging N per-shard snapshots in any
-    grouping yields the same result because counter addition, gauge
-    addition, elementwise bucket sums and ``max`` are all associative
-    and commutative.
-    """
-    merged = MetricsSnapshot()
-    for snapshot in snapshots:
-        merged = merged.merge(snapshot)
-    return merged

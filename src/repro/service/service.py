@@ -48,7 +48,7 @@ from repro.service.breaker import (
     CircuitOpenError,
 )
 from repro.service.cache import PredictionCache, quantize_key
-from repro.service.metrics import MetricsRegistry, MetricsSnapshot
+from repro.service.metrics import MetricsRegistry
 from repro.service.pool import CoalescingPool
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -104,17 +104,10 @@ class PredictionService:
         name: str | None = None,
         preflight: Callable[[str, str, float, float], None] | None = None,
         clock: Clock = SYSTEM_CLOCK,
-        l2=None,
     ):
         self.primary = primary
         self._clock = clock
         self.fallback = fallback
-        # Optional cross-shard shared L2 cache (see repro.service.shard.l2):
-        # consulted on every L1 miss before the request pays for admission
-        # and a solve, and published to after every computed result.  The
-        # duck-typed contract is get(key) -> (hit, value) / put(key, value);
-        # None (the default, and the unsharded configuration) skips both.
-        self.l2 = l2
         # Admission hook called as preflight(kind, server, operand,
         # buy_fraction) on every cache miss; raising rejects the request
         # before it reaches the pool.  repro.analysis.model_preflight
@@ -212,16 +205,8 @@ class PredictionService:
     # -- operations -----------------------------------------------------------
 
     def invalidate(self, server: str | None = None) -> int:
-        """Drop cached predictions (for ``server``, or all) after recalibration.
-
-        With a shared L2 attached, the drop is cluster-wide: the L2 is
-        the one coherence point every shard reads through, so eagerly
-        clearing it here is what keeps TTL-only coherence honest across
-        a recalibration (no invalidation protocol needed).
-        """
+        """Drop cached predictions (for ``server``, or all) after recalibration."""
         dropped = self.cache.invalidate(server)
-        if self.l2 is not None:
-            dropped += self.l2.invalidate(server)
         self.metrics.counter("invalidations").inc()
         return dropped
 
@@ -263,18 +248,6 @@ class PredictionService:
                 "admission.pending": self.admission.pending,
             }
         )
-        if self.l2 is not None:
-            l2 = self.l2.stats()
-            out.update(
-                {
-                    "l2.requests": l2.requests,
-                    "l2.hits": l2.hits,
-                    "l2.misses": l2.misses,
-                    "l2.expirations": l2.expirations,
-                    "l2.puts": l2.puts,
-                    "l2.hit_rate": l2.hit_rate,
-                }
-            )
         if self.breaker is not None:
             out.update(
                 {
@@ -284,60 +257,6 @@ class PredictionService:
                 }
             )
         return out
-
-    def snapshot(self) -> MetricsSnapshot:
-        """A mergeable snapshot of this service's *additive* state.
-
-        The registry's counters/gauges/histograms plus the cache, pool,
-        admission and L2 counters folded in as plain counters — exactly
-        the unit a shard worker ships to the router, where
-        :func:`~repro.service.metrics.merge_snapshots` combines all
-        shards into one cluster view.  Non-additive values (hit rates,
-        breaker state/health) are excluded by design; the router derives
-        rates after merging and reads per-shard health off its own
-        health board.
-        """
-        snap = self.metrics.snapshot()
-        counters = dict(snap.counters)
-        cache = self.cache.stats()
-        counters.update(
-            {
-                "cache.requests": cache.requests,
-                "cache.hits": cache.hits,
-                "cache.misses": cache.misses,
-                "cache.evictions": cache.evictions,
-                "cache.expirations": cache.expirations,
-                "cache.invalidated": cache.invalidated,
-            }
-        )
-        pool = self.pool.stats()
-        counters.update(
-            {
-                "pool.submitted": pool.submitted,
-                "pool.coalesced": pool.coalesced,
-                "pool.executed": pool.executed,
-                "admission.admitted": self.admission.admitted_total,
-                "admission.rejected": self.admission.rejected_total,
-            }
-        )
-        if self.l2 is not None:
-            l2 = self.l2.stats()
-            counters.update(
-                {
-                    "l2.requests": l2.requests,
-                    "l2.hits": l2.hits,
-                    "l2.misses": l2.misses,
-                    "l2.expirations": l2.expirations,
-                    "l2.puts": l2.puts,
-                }
-            )
-        gauges = dict(snap.gauges)
-        gauges["admission.pending"] = float(self.admission.pending)
-        return MetricsSnapshot(
-            counters=dict(sorted(counters.items())),
-            gauges=dict(sorted(gauges.items())),
-            histograms=snap.histograms,
-        )
 
     # -- the serving path -----------------------------------------------------
 
@@ -399,17 +318,6 @@ class PredictionService:
                     span.set_attribute("outcome", "cache_hit")
                     return value
 
-                if self.l2 is not None:
-                    l2_hit, l2_value = self.l2.get(key)
-                    TRACER.instant("service.l2", hit=l2_hit)
-                    if l2_hit:
-                        # Promote: the next request for this cell is a
-                        # local microsecond hit instead of an L2 trip.
-                        self.cache.put(key, l2_value)
-                        self.metrics.counter("l2.promotions").inc()
-                        span.set_attribute("outcome", "l2_hit")
-                        return l2_value
-
                 if self.preflight is not None:
                     try:
                         self.preflight(kind, server, operand, buy_fraction)
@@ -458,8 +366,6 @@ class PredictionService:
                                 ).inc(),
                             )
                             self.cache.put(key, result)
-                            if self.l2 is not None:
-                                self.l2.put(key, result)
                             return result
 
                     # Capture the submitting request's context so the pool

@@ -166,3 +166,42 @@ class TestPredictorWrappers:
         lqn, _ = predictors
         lqn.predict_mrt_ms("AppServF", 100)
         assert lqn.timer.mean_delay_s > 0.0
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestPredictorBoundary:
+    """All three methods reject the same bad inputs with the same typed error."""
+
+    @pytest.fixture(scope="class")
+    def methods(self):
+        from repro.experiments.scenario import build_predictors
+
+        historical, lqn, hybrid, _ = build_predictors(fast=True)
+        return {"historical": historical, "lqn": lqn, "hybrid": hybrid}
+
+    @pytest.mark.parametrize(
+        "query, operand",
+        [
+            ("predict_mrt_ms", -5.0),
+            ("predict_mrt_ms", NAN),
+            ("predict_mrt_ms", INF),
+            ("predict_throughput", -5.0),
+            ("predict_throughput", NAN),
+            ("predict_throughput", INF),
+            ("max_clients", -1.0),
+            ("max_clients", 0.0),
+            ("max_clients", NAN),
+            ("max_clients", INF),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["historical", "lqn", "hybrid"])
+    def test_bad_operand_is_a_validation_error(self, methods, method, query, operand):
+        with pytest.raises(ValidationError):
+            getattr(methods[method], query)("AppServS", operand)
+
+    def test_lqn_solves_zero_clients_as_one(self, methods):
+        lqn = methods["lqn"]
+        assert lqn.predict_mrt_ms("AppServS", 0) == lqn.predict_mrt_ms("AppServS", 1)

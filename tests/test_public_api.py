@@ -65,7 +65,6 @@ def test_experiment_registry_complete():
         "tracing",
         "chaos",
         "workloads",
-        "sharded_serving",
         "overload",
     }
     assert set(EXPERIMENTS) == expected

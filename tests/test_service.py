@@ -12,6 +12,8 @@ from repro.prediction.interface import PredictionTimer, Predictor
 from repro.service import (
     AdmissionConfig,
     AdmissionController,
+    BreakerConfig,
+    BreakerState,
     CoalescingPool,
     LatencyHistogram,
     LoadGenConfig,
@@ -22,10 +24,15 @@ from repro.service import (
     PredictionTimeoutError,
     ServiceConfig,
     ServiceSaturatedError,
+    bucket_quantile,
     call_with_retries,
     quantize_key,
 )
 from repro.util.errors import CalibrationError, ValidationError
+from repro.util.rng import spawn_rng
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class StubPredictor:
@@ -155,6 +162,31 @@ class TestMetrics:
         export = registry.export()
         assert export["x"] == 3 and export["g"] == 7.0
         assert export["h.count"] == 1 and export["h.p95_s"] > 0.0
+
+    def test_snapshot_export_matches_live_registry_export(self):
+        """registry.export() and registry.snapshot().export() are identical."""
+        registry = MetricsRegistry()
+        registry.counter("requests").inc(300)
+        registry.gauge("pending").set(6.0)
+        rng = spawn_rng(2004, "x")
+        histogram = registry.histogram("latency")
+        for _ in range(300):
+            # Latencies spanning µs to seconds — many distinct buckets.
+            histogram.observe(float(10.0 ** rng.uniform(-6.0, 0.5)))
+        assert registry.export() == registry.snapshot().export()
+
+    def test_bucket_quantile_interpolates_and_handles_overflow(self):
+        """The shared estimator: interpolation in-bucket, max_s for overflow."""
+        bounds = (1.0, 2.0, 4.0)
+        # 10 observations in (1,2], none elsewhere; overflow bucket empty.
+        counts = (0, 10, 0, 0)
+        assert bucket_quantile(bounds, counts, 10, 2.0, 0.0) == pytest.approx(1.0)
+        assert bucket_quantile(bounds, counts, 10, 2.0, 1.0) == pytest.approx(2.0)
+        mid = bucket_quantile(bounds, counts, 10, 2.0, 0.5)
+        assert 1.0 < mid < 2.0
+        # All mass in the overflow bucket: the observed max is the answer.
+        overflow = (0, 0, 0, 5)
+        assert bucket_quantile(bounds, overflow, 5, 7.5, 0.99) == 7.5
 
 
 class TestCoalescingPool:
@@ -392,6 +424,37 @@ class TestPredictionService:
             assert metrics["latency.p50_s"] > 0.0
             assert metrics["latency.p99_s"] >= metrics["latency.p50_s"]
             assert metrics["requests"] == 20
+
+    @pytest.mark.parametrize(
+        "operand, buy_fraction",
+        [
+            (NAN, 0.0),
+            (INF, 0.0),
+            (-INF, 0.0),
+            (-1.0, 0.0),
+            (500.0, NAN),
+            (500.0, INF),
+            (500.0, -INF),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["predict_mrt_ms", "predict_throughput", "max_clients"])
+    def test_bad_operands_are_validation_errors_before_the_breaker(
+        self, method, operand, buy_fraction
+    ):
+        """A non-finite/negative operand or non-finite buy fraction is typed.
+
+        It is rejected before the cache, the pool or the breaker see it:
+        the primary is never called and ten such requests leave the
+        breaker CLOSED.
+        """
+        config = ServiceConfig(breaker=BreakerConfig(failure_threshold=2))
+        with PredictionService(StubPredictor(), config=config) as service:
+            for _ in range(10):
+                with pytest.raises(ValidationError):
+                    getattr(service, method)("S", operand, buy_fraction=buy_fraction)
+            assert service.primary.calls == 0
+            assert service.cache.stats().requests == 0
+            assert service.breaker.state is BreakerState.CLOSED
 
 
 class TestResourceManagerOnService:
