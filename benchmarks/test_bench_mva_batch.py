@@ -22,9 +22,8 @@ sweep repetitions *interleaved* so a transient slowdown on the machine
 cannot poison one side's whole sample (deflaked: the minimum of a few
 repetitions is far more stable than a single run).  They are measured
 inside the test so the gate also holds under ``--benchmark-disable``
-in CI.  Accuracy rides along: ``warm_start=False``
-sweeps must be bit-identical to serial solves, and the default warm
-sweeps must stay within the solver's convergence criterion.
+in CI.  Accuracy rides along: sweeps must be bit-identical to serial
+solves.
 
 Run as a script to (re)generate the committed artifact::
 
@@ -200,27 +199,15 @@ def test_bench_mva_batch_speedup_gate(measured, emit):
 
 
 def test_bench_mva_batch_cold_sweep_is_bit_identical(shapes):
-    """warm_start=False sweeps reproduce serial solves bit-for-bit."""
+    """Sweeps reproduce serial solves bit-for-bit."""
     models, _ = shapes["fig2"]
     solver = LqnSolver(SOLVER_OPTIONS)
     serial = [solver.solve(model) for model in models]
-    swept = solver.solve_sweep(models, warm_start=False)
+    swept = solver.solve_sweep(models)
     for a, b in zip(serial, swept):
         assert a.mean_response_ms() == b.mean_response_ms()
         assert a.total_throughput_req_per_s() == b.total_throughput_req_per_s()
         assert a.iterations == b.iterations
-
-
-def test_bench_mva_batch_warm_sweep_within_criterion(shapes):
-    """Warm-started sweeps stay within the solver's convergence criterion."""
-    models, _ = shapes["fig6"]
-    solver = LqnSolver(SOLVER_OPTIONS)
-    serial = [solver.solve(model) for model in models]
-    swept = solver.solve_sweep(models, warm_start=True)
-    for a, b in zip(serial, swept):
-        assert b.mean_response_ms() == pytest.approx(
-            a.mean_response_ms(), abs=SOLVER_OPTIONS.convergence_criterion_ms
-        )
 
 
 #: The finite-capacity solve path's allowed tax on capacity-free sweeps:

@@ -11,8 +11,8 @@ layer and shows the arithmetic change:
 2. repeats are microsecond cache hits — historical-method delay class;
 3. sixteen concurrent clients asking the same cold question cost ONE
    solve (in-flight coalescing);
-4. an impossibly tight deadline degrades gracefully to the historical
-   fallback instead of stalling the control loop;
+4. a primary that misses its deadline degrades gracefully to the
+   historical fallback instead of stalling the control loop;
 5. the metrics registry reports p50/p95/p99, hit rate and degradations.
 
 Run:  python examples/prediction_service.py
@@ -38,6 +38,33 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.trace import TRACER, JsonlSink, load_events_jsonl, write_chrome_trace
+
+
+class StalledPredictor:
+    """A predictor that answers only once ``release`` is set.
+
+    Step 4 puts it in front of the layered predictor, so the deadline is
+    missed on every run: a real solve can beat a short deadline on a fast
+    machine.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.timer = inner.timer
+        self.release = threading.Event()
+
+    def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
+        self.release.wait()
+        return self.inner.predict_mrt_ms(server, n_clients, buy_fraction=buy_fraction)
+
+    def predict_throughput(self, server, n_clients, *, buy_fraction=0.0):
+        self.release.wait()
+        return self.inner.predict_throughput(server, n_clients, buy_fraction=buy_fraction)
+
+    def max_clients(self, server, rt_goal_ms, *, buy_fraction=0.0):
+        self.release.wait()
+        return self.inner.max_clients(server, rt_goal_ms, buy_fraction=buy_fraction)
 
 
 def main() -> None:
@@ -70,15 +97,20 @@ def main() -> None:
     print(f"  underlying LQN solves performed: {lqn.solver.solve_count - solves_before}")
     print(f"  in-flight coalesced requests:    {service.pool.stats().coalesced}")
 
-    print("\n-- 4: graceful degradation under an impossible deadline -------")
+    print("\n-- 4: graceful degradation when the primary misses its deadline")
+    stalled = StalledPredictor(lqn)
     tight = PredictionService(
-        lqn,
+        stalled,
         fallback=historical,
         config=ServiceConfig(admission=AdmissionConfig(timeout_s=1e-4)),
     )
     with tight:
-        value = tight.predict_mrt_ms(server, 2500)
-        metrics = tight.export_metrics()
+        try:
+            value = tight.predict_mrt_ms(server, 2500)
+            metrics = tight.export_metrics()
+        finally:
+            # Let the abandoned solve finish so shutdown can join its worker.
+            stalled.release.set()
         print(f"  answer still served (from the historical fallback): {value:.1f} ms")
         print(f"  degradations recorded: {int(metrics['degraded'])} "
               f"(timeouts: {int(metrics['timeouts'])})")

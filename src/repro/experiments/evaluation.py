@@ -73,8 +73,8 @@ def evaluate_all_methods(*, fast: bool = False) -> MethodEvaluation:
     # The layered method is sweep-shaped: every (server, load) point of the
     # whole evaluation grid goes into ONE batched solve, and each solution
     # answers both the response-time and the throughput query (the serial
-    # path used to solve the same model twice).  ``warm_start=False`` keeps
-    # every prediction bit-identical to a per-point ``predict_mrt_ms`` call.
+    # path used to solve the same model twice); every prediction stays
+    # bit-identical to a per-point ``predict_mrt_ms`` call.
     grid: list[tuple[str, int]] = []
     for arch in ALL_APP_SERVERS:
         n_at_max = historical.model.throughput_model.clients_at_max(arch.name)
@@ -84,9 +84,7 @@ def evaluate_all_methods(*, fast: bool = False) -> MethodEvaluation:
     lqn_solutions = dict(
         zip(
             grid,
-            lqn.solve_points(
-                [(server, n, 0.0) for server, n in grid], warm_start=False
-            ),
+            lqn.solve_points([(server, n, 0.0) for server, n in grid]),
         )
     )
 

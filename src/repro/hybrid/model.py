@@ -141,8 +141,8 @@ class AdvancedHybridModel:
 
             # The whole (server × load-fraction) calibration grid is one
             # sweep: collect every pseudo-historical point's model first,
-            # then batch-solve them together.  ``warm_start=False`` keeps
-            # each data point bit-identical to a per-point solve.
+            # then batch-solve them together; each data point stays
+            # bit-identical to a per-point solve.
             grid: list[tuple[str, int]] = []
             grid_models: list[LqnModel] = []
             for arch in target_servers:
@@ -159,7 +159,7 @@ class AdvancedHybridModel:
                 report.per_server_points[arch.name] = len(lower_fracs) + len(upper_fracs)
                 report.data_points += report.per_server_points[arch.name]
 
-            solutions = solver.solve_sweep(grid_models, warm_start=False)
+            solutions = solver.solve_sweep(grid_models)
             report.lqn_solves += len(solutions)
             for (server_name, n), solution in zip(grid, solutions):
                 store.add(

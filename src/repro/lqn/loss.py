@@ -192,7 +192,6 @@ def solve_batch_with_loss(
     tol: float = 1e-10,
     max_iterations: int = 100_000,
     damping: float = 0.5,
-    initial_queue_lengths: np.ndarray | None = None,
     iteration_hook=None,
 ) -> MvaBatchSolution:
     """Solve a sweep with finite-capacity (loss) stations.
@@ -242,7 +241,6 @@ def solve_batch_with_loss(
             tol=tol,
             max_iterations=max_iterations,
             damping=damping,
-            initial_queue_lengths=initial_queue_lengths,
             iteration_hook=iteration_hook,
         )
 

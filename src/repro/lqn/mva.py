@@ -12,8 +12,8 @@ Three entry points:
   so populations × request mixes × architectures iterate together.  Each
   batch point carries its own convergence state — converged points freeze
   (their iterates stop being updated, bit-for-bit) while stragglers keep
-  iterating — and an optional warm-start seeds the iterates from a
-  neighbouring, already-solved grid point.
+  iterating — and a point can climb a whole tolerance ladder along one
+  trajectory (the layered solver's LQNS-style stopping rule).
 * :func:`solve_bard_schweitzer` — the single-network API, now literally a
   batch of one: it stacks its input into a :class:`MvaBatchInput` of size 1
   and unpacks :func:`solve_batch`'s first point, so there is exactly one
@@ -43,7 +43,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.util.errors import ConvergenceError, ValidationError
-from repro.util.validation import check_positive, check_positive_int, require
+from repro.util.validation import (
+    check_non_negative,
+    check_positive,
+    check_positive_int,
+    require,
+)
 
 __all__ = [
     "StationKind",
@@ -52,6 +57,7 @@ __all__ = [
     "MvaSolution",
     "MvaBatchInput",
     "MvaBatchSolution",
+    "ladder_verdict",
     "solve_batch",
     "solve_bard_schweitzer",
     "solve_exact_single_class",
@@ -347,8 +353,8 @@ class MvaBatchInput:
         """A new batch holding only the given points (structure shared).
 
         Re-validation is skipped — every array is a row-subset of this
-        already-validated batch, and the staged solver subsets once per
-        ladder stage.
+        already-validated batch, and the finite-capacity ladder subsets
+        once per stage.
         """
         idx = np.asarray(indices, dtype=int)
         clone = object.__new__(MvaBatchInput)
@@ -385,6 +391,7 @@ class MvaBatchSolution:
     residence_ms: np.ndarray  # (B, C, K)
     utilisation: np.ndarray  # (B, K)
     iterations: np.ndarray  # (B,) fixed-point steps until each point froze
+    final_residual_ms: np.ndarray  # (B,) response-time residual at the stop
     open_response_ms: list[dict] = field(default_factory=list)  # one dict per point
     # Finite-capacity (loss) estimates, filled by the loss solve path
     # (None / empty when plain solve_batch produced the solution).
@@ -423,52 +430,83 @@ class MvaBatchSolution:
         )
 
 
-def _initial_queue_lengths(
-    D_all: np.ndarray, N: np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """Default iterate: spread each class's population over visited stations."""
-    visits = (D_all > 0).astype(float)
-    visit_counts = np.maximum(visits.sum(axis=2, keepdims=True), 1.0)
-    return np.where(active[:, :, None], N[:, :, None] / visit_counts * visits, 0.0)
+def ladder_verdict(
+    rung: np.ndarray,
+    last: int,
+    response: np.ndarray,
+    prev_response: np.ndarray,
+    criterion_ms: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide which points stop where they cross a tolerance-ladder rung.
+
+    ``rung`` holds each point's rung index, ``response``/``prev_response``
+    its ``(b, C)`` cycle response times at this rung and the previous one.
+    A point stops once its response times moved less than ``criterion_ms``
+    since the previous rung (never at rung 0, which has none), or at the
+    floor rung ``last`` regardless.  Returns ``(stop, reported, residual)``:
+    ``reported`` is the residual where the criterion held and 0.0 where the
+    floor alone stopped the point; ``residual`` is the raw per-point value.
+    """
+    residual = np.abs(response - prev_response).max(axis=1, initial=0.0)
+    met = (rung > 0) & (residual < criterion_ms)
+    return met | (rung == last), np.where(met, residual, 0.0), residual
 
 
 def solve_batch(
     inp: MvaBatchInput,
     *,
-    tol: float = 1e-10,
+    tol: float | Sequence[float] = 1e-10,
+    criterion_ms: float = 0.0,
     max_iterations: int = 100_000,
     damping: float = 0.5,
-    initial_queue_lengths: np.ndarray | None = None,
     iteration_hook: Callable[[int, float, int], None] | None = None,
+    stage_hook: Callable[[int, float, int, float | None, int], None] | None = None,
 ) -> MvaBatchSolution:
     """Solve a whole sweep of closed multiclass networks in one fixed point.
 
     This is the repository's only Bard–Schweitzer implementation: the
     fixed point iterates per-class queue lengths ``Q: (B, C, K)`` with
-    ``damping`` (new = damping·update + (1−damping)·old) until every
-    point's largest queue-length change is below ``tol``.  Points
-    converge independently: once a point's residual drops under ``tol``
-    its iterate is **frozen** — never touched again — so a point's
-    trajectory (and its returned arrays, bit for bit) is identical to
-    solving it alone, while stragglers keep iterating.  When fewer than
-    half the points remain active the working set is compacted so late
-    stragglers don't pay for the whole batch.
+    ``damping`` (new = damping·update + (1−damping)·old) from the default
+    iterate until each point's largest queue-length change is below
+    ``tol``.  Points converge independently: once a point stops, its
+    iterate is **frozen** — never touched again — so a point's trajectory
+    (and its returned arrays, bit for bit) is identical to solving it
+    alone, while stragglers keep iterating.  When points stop, the
+    working set is compacted so late stragglers don't pay for the whole
+    batch.
 
-    ``initial_queue_lengths`` (``(B, C, K)``) warm-starts the iterate —
-    pass a neighbouring solved point's ``Q`` (rescaled to the new
-    populations) to collapse iteration counts on smooth sweeps.  Entries
-    for inactive classes are forced to zero.
+    ``tol`` may also be a *tolerance ladder*: a non-increasing sequence
+    of rungs whose last entry is the floor.  Each point climbs it along
+    its one trajectory.  When its residual first drops below its current
+    rung, the point snapshots that step's cycle response times and
+    applies :func:`ladder_verdict` with ``criterion_ms``; if it does not
+    stop, it moves to the next rung and re-tests the *same* step.  Every
+    step before the crossing had a residual at or above the looser rung,
+    so a solve restarted from the default iterate at the tighter rung
+    would stop at exactly the step this one reaches: the ladder returns
+    what a restart per rung returns, at the cost of the last rung alone.
+    A one-rung ladder (a plain float) is the classic single-tolerance
+    solve.  ``final_residual_ms`` reports each point's verdict residual.
 
     ``iteration_hook(iteration, delta, n_active)`` — when given — is
     called after every fixed-point step with the largest residual among
-    the points that were still active and the count of such points; the
-    layered solver uses it to stream sampled convergence-progress trace
-    events.  Leave it ``None`` on hot paths: the ``None`` check is the
-    only cost then.
+    the points that were still active and the count of such points;
+    ``stage_hook(stage, stage_tol, iteration, residual_ms, n_active)`` is
+    called once per rung crossed (``stage`` counts from 1; ``residual_ms``
+    is the largest verdict residual among the crossing points, ``None`` at
+    the first rung).  The layered solver uses both to stream trace events.
+    Leave them ``None`` on hot paths: the ``None`` checks are the only cost
+    then.
     """
-    check_positive(tol, "tol")
+    rungs = np.array([check_positive(rung, "tol") for rung in np.atleast_1d(tol)])
+    require(
+        rungs.size > 0 and bool((np.diff(rungs) <= 0.0).all()),
+        "tol must be one tolerance or a non-empty ladder that does not loosen",
+    )
+    check_non_negative(criterion_ms, "criterion_ms")
     check_positive_int(max_iterations, "max_iterations")
     require(0.0 < damping <= 1.0, "damping must be in (0, 1]")
+    last_rung = rungs.size - 1
 
     B = inp.batch_size
     C = len(inp.class_names)
@@ -484,8 +522,8 @@ def solve_batch(
     # Mixed-network reduction: open traffic permanently occupies rho_open of
     # each queueing station, so closed customers effectively see slower
     # servers (demand inflated by 1/(1-rho_open)).  Purely closed networks
-    # (the common case — the staged solver calls here once per ladder stage)
-    # skip the reduction entirely; the inflation would be exactly 1.0.
+    # (the common case) skip the reduction entirely; the inflation would be
+    # exactly 1.0.
     if inp.open_class_names:
         rho_open = inp.open_utilisation_per_station()  # (B, K)
         queue_saturated = (~is_delay)[None, :] & (rho_open >= 1.0)
@@ -533,12 +571,13 @@ def solve_batch(
     # form: zero closed flows, open work only.  They never enter the loop.
     trivial = (~active_classes.any(axis=1)) | (K == 0)  # (B,)
 
-    # Frozen (output) state, filled in as points converge.
+    # Frozen (output) state, filled in as points stop.
     Q_out = np.zeros((B, C, K))
     X_out = np.zeros((B, C))
     R_total_out = np.zeros((B, C))
     R_vis_out = np.zeros((B, C, K))
     iterations_out = np.zeros(B, dtype=int)
+    residual_out = np.zeros(B)
 
     live = np.flatnonzero(~trivial)  # original indices of points still iterating
     if live.size:
@@ -552,16 +591,15 @@ def solve_batch(
         h = H[live]
         act = active_classes[live]
         safe_n = np.where(act, n, 1.0)
-        if initial_queue_lengths is not None:
-            seed = np.asarray(initial_queue_lengths, dtype=float)
-            require(
-                seed.shape == (B, C, K),
-                f"initial_queue_lengths must be (B={B}, C={C}, K={K}), "
-                f"got {seed.shape}",
-            )
-            Q = np.where(act[:, :, None], np.maximum(seed[live], 0.0), 0.0)
-        else:
-            Q = _initial_queue_lengths(d + h, n, act)
+        # Default iterate: spread each class's population over visited stations.
+        visits = ((d + h) > 0).astype(float)
+        visit_counts = np.maximum(visits.sum(axis=2, keepdims=True), 1.0)
+        Q = np.where(act[:, :, None], n[:, :, None] / visit_counts * visits, 0.0)
+        # Per-point ladder state: current rung, its tolerance, and the
+        # response times snapshotted at the previous rung.
+        rung = np.zeros(live.size, dtype=int)
+        rung_tol = np.full(live.size, rungs[0])
+        prev_response = np.zeros((live.size, C))
 
         delay_row = is_delay[None, None, :]
         not_delay_row = (~is_delay)[None, :]
@@ -618,27 +656,58 @@ def solve_batch(
                 deltas = np.abs(Q_new - Q).max(axis=(1, 2))  # (b,)
                 Q = Q_new
 
-                frozen_now = deltas < tol  # (b,)
+                crossed = deltas < rung_tol  # (b,)
                 if iteration_hook is not None:
                     iteration_hook(iterations, float(deltas.max()), int(live.size))
-                if frozen_now.any():
-                    done = live[frozen_now]
-                    Q_out[done] = Q[frozen_now]
-                    X_out[done] = X[frozen_now]
-                    R_total_out[done] = R_counted_total[frozen_now]
-                    R_vis_out[done] = R_vis[frozen_now]
-                    iterations_out[done] = iterations
-                    keep = ~frozen_now
-                    live = live[keep]
-                    if live.size == 0:
-                        break
-                    # Compact the working set: frozen points must leave it
-                    # (their iterates stop here — that is what makes a point's
-                    # trajectory bit-identical to a solo solve), and the
-                    # stragglers stop paying batch-width cost for them.
-                    n, z, d, h = n[keep], z[keep], d[keep], h[keep]
-                    act, safe_n, Q = act[keep], safe_n[keep], Q[keep]
-                    counted_off = counted_off[keep]
+                if not crossed.any():
+                    continue
+                # Rung crossings: the only per-step Python work.  A point
+                # that does not stop climbs a rung and re-tests this step.
+                frozen_now = np.zeros(live.size, dtype=bool)
+                pending = np.flatnonzero(crossed)
+                while pending.size:
+                    at = rung[pending]
+                    response = R_counted_total[pending]
+                    stop, reported, residual = ladder_verdict(
+                        at, last_rung, response, prev_response[pending], criterion_ms
+                    )
+                    if stage_hook is not None:
+                        for r in np.unique(at):
+                            stage_hook(
+                                int(r) + 1,
+                                float(rungs[r]),
+                                iterations,
+                                float(residual[at == r].max()) if r else None,
+                                int(live.size),
+                            )
+                    frozen_now[pending[stop]] = True
+                    residual_out[live[pending[stop]]] = reported[stop]
+                    climb = pending[~stop]
+                    prev_response[climb] = response[~stop]
+                    rung[climb] += 1
+                    rung_tol[climb] = rungs[rung[climb]]
+                    pending = climb[deltas[climb] < rung_tol[climb]]
+                if not frozen_now.any():
+                    continue
+                done = live[frozen_now]
+                Q_out[done] = Q[frozen_now]
+                X_out[done] = X[frozen_now]
+                R_total_out[done] = R_counted_total[frozen_now]
+                R_vis_out[done] = R_vis[frozen_now]
+                iterations_out[done] = iterations
+                keep = ~frozen_now
+                live = live[keep]
+                if live.size == 0:
+                    break
+                # Compact the working set: frozen points must leave it
+                # (their iterates stop here — that is what makes a point's
+                # trajectory bit-identical to a solo solve), and the
+                # stragglers stop paying batch-width cost for them.
+                n, z, d, h = n[keep], z[keep], d[keep], h[keep]
+                act, safe_n, Q = act[keep], safe_n[keep], Q[keep]
+                counted_off = counted_off[keep]
+                rung, rung_tol = rung[keep], rung_tol[keep]
+                prev_response = prev_response[keep]
             else:
                 raise ConvergenceError(
                     "Bard-Schweitzer AMVA did not converge "
@@ -667,6 +736,7 @@ def solve_batch(
         residence_ms=R_vis_out,
         utilisation=util,
         iterations=iterations_out,
+        final_residual_ms=residual_out,
         open_response_ms=open_responses(Q_out.sum(axis=1)),
     )
 

@@ -27,6 +27,9 @@ class LqnSolution:
     residence_ms: dict[tuple[str, str], float]
     # task name -> mean concurrency (threads busy)
     task_concurrency: dict[str, float] = field(default_factory=dict)
+    # Fixed-point steps executed: one trajectory climbs the whole tolerance
+    # ladder, so this is the step the solve stopped at (summed over the
+    # restarted rungs on the finite-capacity path).
     iterations: int = 0
     solve_time_s: float = 0.0
     converged: bool = True

@@ -38,38 +38,56 @@ import numpy as np
 from repro.faults.injector import INJECTOR
 from repro.lqn.loss import solve_batch_with_loss
 from repro.lqn.model import CallKind, LqnModel, Scheduling, Task
-from repro.lqn.mva import MvaBatchInput, MvaInput, Station, StationKind
+from repro.lqn.mva import (
+    MvaBatchInput,
+    MvaInput,
+    Station,
+    StationKind,
+    ladder_verdict,
+    solve_batch,
+)
 from repro.lqn.results import LqnSolution
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.errors import ConvergenceError, ModelError
+from repro.util.errors import ModelError
 from repro.util.validation import check_positive, check_positive_int
 
-__all__ = ["SolverOptions", "LqnSolver", "MVA_ITERATION_SAMPLE", "WARM_START_STRIDE"]
+__all__ = ["SolverOptions", "LqnSolver", "MVA_ITERATION_SAMPLE"]
 
 #: Every k-th MVA fixed-point iteration gets an instant event when tracing.
 MVA_ITERATION_SAMPLE = 25
 
-#: Warm-started sweeps solve every ``stride``-th point cold (in locality
-#: order), then seed the points in between from their nearest solved
-#: neighbour's queue lengths.
-WARM_START_STRIDE = 4
 
-
-def _mva_iteration_hook():
-    """A sampled per-iteration callback carrying the convergence delta.
+def _iteration_instant(iteration: int, delta: float, n_active: int) -> None:
+    """A sampled per-iteration instant carrying the convergence delta.
 
     ``delta`` is the largest queue-length residual among the batch points
     still iterating; ``active`` counts them (1 for a single-point solve).
     """
+    if iteration == 1 or iteration % MVA_ITERATION_SAMPLE == 0:
+        TRACER.instant("lqn.mva.iteration", iteration=iteration, delta=delta, active=n_active)
 
-    def hook(iteration: int, delta: float, n_active: int) -> None:
-        if iteration == 1 or iteration % MVA_ITERATION_SAMPLE == 0:
-            TRACER.instant(
-                "lqn.mva.iteration", iteration=iteration, delta=delta, active=n_active
-            )
 
-    return hook
+def _stage_instant(
+    stage: int, stage_tol: float, iterations: int, residual_ms: float | None, active: int
+) -> None:
+    """One ``lqn.solve.stage`` instant per tolerance-ladder rung crossed."""
+    TRACER.instant(
+        "lqn.solve.stage",
+        stage=stage,
+        stage_tol=stage_tol,
+        iterations=iterations,
+        residual_ms=residual_ms,
+        active=active,
+    )
+
+
+def _tolerance_ladder(queue_tol: float) -> list[float]:
+    """The queue-length tolerance rungs ``10^-1, 10^-2, …`` ending at ``queue_tol``."""
+    rungs = [max(queue_tol, 10.0 ** -1)]
+    while rungs[-1] > queue_tol:
+        rungs.append(max(queue_tol, 10.0 ** -(len(rungs) + 1)))
+    return rungs
 
 
 @dataclass(frozen=True)
@@ -137,9 +155,7 @@ class LqnSolver:
                 model, classes, vis, hid, inp, solution, station_names, task_station_index, elapsed
             )
 
-    def solve_sweep(
-        self, models: list[LqnModel], *, warm_start: bool = True
-    ) -> list[LqnSolution]:
+    def solve_sweep(self, models: list[LqnModel]) -> list[LqnSolution]:
         """Solve a whole sweep of models as (a few) NumPy batches.
 
         Models sharing a network *structure* (same stations and class
@@ -147,16 +163,7 @@ class LqnSolver:
         mixes) are stacked into one :class:`MvaBatchInput` and iterated
         together by :func:`repro.lqn.mva.solve_batch`; converged points
         freeze while stragglers keep iterating.  Results come back in
-        input order, each bit-identical (``warm_start=False``) or
-        tolerance-equal (``warm_start=True``) to ``solve`` on that model.
-
-        With ``warm_start`` (the default), each structure group is first
-        ordered for locality (by population, then think times/demands) and
-        every :data:`WARM_START_STRIDE`-th point is solved cold; the points
-        in between start from their nearest solved neighbour's queue
-        lengths, rescaled to their own populations, and later ladder stages
-        reuse the previous stage's iterate instead of restarting — both
-        collapse iteration counts on smooth sweeps.
+        input order, each bit-identical to ``solve`` on that model.
 
         Faults and accounting match the serial path: one
         ``lqn.solve`` fault-injection firing and one ``solve_count``
@@ -178,17 +185,12 @@ class LqnSolver:
 
             results: list[tuple | None] = [None] * len(models)
             for indices in groups.values():
-                ordered = sorted(indices, key=lambda i: self._locality_key(prepared[i][3]))
-                inputs = [prepared[i][3] for i in ordered]
                 with TRACER.span("lqn.iterate") as group_span:
-                    group_span.set_attribute("points", len(ordered))
-                    if warm_start and len(inputs) > WARM_START_STRIDE:
-                        solved = self._solve_group_warm(inputs)
-                    else:
-                        solved = self._iterate_batch(
-                            MvaBatchInput.from_points(inputs), warm_start=warm_start
-                        )
-                for i, result in zip(ordered, solved):
+                    group_span.set_attribute("points", len(indices))
+                    solved = self._iterate_batch(
+                        MvaBatchInput.from_points([prepared[i][3] for i in indices])
+                    )
+                for i, result in zip(indices, solved):
                     results[i] = result
 
             elapsed = self._clock.perf_s() - start
@@ -273,21 +275,6 @@ class LqnSolver:
                 model, classes, vis, hid
             )
         return classes, vis, hid, inp, station_names, task_station_index
-
-    @staticmethod
-    def _locality_key(inp: MvaInput) -> tuple:
-        """Sort key placing neighbouring sweep points next to each other.
-
-        Population dominates (fig2/fig6-style client sweeps), then think
-        times and total demand (mix sweeps at fixed population).
-        """
-        return (
-            float(sum(inp.populations)),
-            tuple(inp.populations),
-            tuple(inp.think_times_ms),
-            float(inp.demands.sum()),
-            float(inp.hidden_demands.sum()),
-        )
 
     # -- flattening -----------------------------------------------------------
 
@@ -388,6 +375,12 @@ class LqnSolver:
         C, K = len(class_names), len(stations)
         demands = np.zeros((C, K))
         hidden = np.zeros((C, K))
+        holding = {
+            entry.name: self._holding_time_ms(model, entry.name)
+            + entry.phase2_demand_ms / model.processors[task.processor].speed
+            for task in server_tasks
+            for entry in task.entries
+        }
 
         for c, cname in enumerate(class_names):
             for task in model.tasks.values():
@@ -404,12 +397,10 @@ class LqnSolver:
             for task in server_tasks:
                 k = task_station_index[task.name]
                 for entry in task.entries:
-                    holding = self._holding_time_ms(model, entry.name)
-                    holding += entry.phase2_demand_ms / model.processors[task.processor].speed
                     v = vis.get((cname, entry.name), 0.0)
                     h = hid.get((cname, entry.name), 0.0)
-                    demands[c, k] += v * holding
-                    hidden[c, k] += h * holding
+                    demands[c, k] += v * holding[entry.name]
+                    hidden[c, k] += h * holding[entry.name]
 
         # Open workload sources load the processor stations per request;
         # thread-pool (surrogate) waiting is not modelled for open traffic.
@@ -447,166 +438,97 @@ class LqnSolver:
         """Bard–Schweitzer fixed point with the response-time stopping rule."""
         return self._iterate_batch(MvaBatchInput.from_points([inp]))[0]
 
-    def _iterate_batch(
-        self,
-        batch: MvaBatchInput,
-        *,
-        warm_start: bool = False,
-        initial_queue_lengths: np.ndarray | None = None,
-        start_stage: int = 1,
-    ) -> list[tuple]:
-        """Run the staged tolerance ladder over a whole batch at once.
+    def _iterate_batch(self, batch: MvaBatchInput) -> list[tuple]:
+        """Run the tolerance ladder over a whole batch at once.
 
-        The AMVA fixed point runs in stages of loosening-to-tightening
-        tolerance (``10^-stage`` down to ``queue_tol``), checking the
-        response-time criterion between stages; this reproduces LQNS's
+        The AMVA fixed point climbs a ladder of tightening queue-length
+        tolerances (``10^-stage`` down to ``queue_tol``), checking the
+        response-time criterion at each rung; this reproduces LQNS's
         "iterate until response times move < criterion" behaviour while
         the queue-length tolerance guards the fine-grained fixed point.
-        Each point climbs the ladder independently: a point whose
-        response residual drops below ``convergence_criterion_ms`` leaves
-        the batch, and later stages solve only the survivors.
-
-        ``warm_start=False`` (the default, used by :meth:`solve`) restarts
-        every stage from the default iterate, which makes each point's
-        result bit-identical to the historical serial ladder.  With
-        ``warm_start=True`` each stage continues from the previous stage's
-        queue lengths, and ``initial_queue_lengths`` (``(B, C, K)``) seeds
-        the first stage — e.g. from a neighbouring, already-solved sweep
-        point.  ``start_stage`` skips the coarsest ladder rungs, which a
-        well-seeded iterate has already passed.
+        Each point climbs the ladder independently, along one fixed-point
+        trajectory inside :func:`repro.lqn.mva.solve_batch`.  Batches with
+        a finite-capacity station take :meth:`_iterate_staged` instead.
 
         Returns one ``(MvaSolution, residual_ms)`` tuple per point, in
         batch order.
         """
         options = self.options
-        B = batch.batch_size
-        results: list[tuple | None] = [None] * B
-        live = np.arange(B)
-        prev_response: np.ndarray | None = None  # (b, C) for live points
-        stage_iterations = np.zeros(B, dtype=int)
-        current = batch
-        seed = initial_queue_lengths
-        # Tracing: per-stage instants always (cheap), per-MVA-iteration
+        rungs = _tolerance_ladder(options.queue_tol)
+        # Tracing: per-rung instants always (cheap), per-MVA-iteration
         # instants through a sampled hook so tight fixed points (tens of
         # thousands of iterations) don't flood the event log.
         trace_on = TRACER.enabled
-        hook = _mva_iteration_hook() if trace_on else None
-        # A loose criterion stops early (coarse, fast); a tight criterion
-        # runs the fixed point to queue_tol (accurate, slower).
-        for stage in range(start_stage, 64):
-            stage_tol = max(options.queue_tol, 10.0 ** (-stage))
-            # The finite-capacity wrapper: with no capacity stations (or
-            # when every loss probability underflows to 0.0 — the K→∞
-            # limit) it calls the unbounded core once on the unmodified
-            # input, so this stays bit-identical to the historical ladder.
+        hook = _iteration_instant if trace_on else None
+        stage_hook = _stage_instant if trace_on else None
+        if any(station.capacity is not None for station in batch.stations):
+            return self._iterate_staged(batch, rungs, hook, stage_hook)
+        solution = solve_batch(
+            batch,
+            tol=rungs,
+            criterion_ms=options.convergence_criterion_ms,
+            max_iterations=options.max_iterations,
+            damping=options.damping,
+            iteration_hook=hook,
+            stage_hook=stage_hook,
+        )
+        return [
+            (solution.solution(b), float(solution.final_residual_ms[b]))
+            for b in range(batch.batch_size)
+        ]
+
+    def _iterate_staged(self, batch: MvaBatchInput, rungs, hook, stage_hook) -> list[tuple]:
+        """The tolerance ladder for batches with a finite-capacity station.
+
+        :func:`repro.lqn.loss.solve_batch_with_loss` re-solves the core
+        inside its effective-arrival-rate fixed point, so one rung's
+        result is not a point on the next rung's trajectory: every rung
+        restarts from the default iterate, and a point's ``iterations``
+        sum over the rungs it ran.  Points that stop leave the batch, and
+        later rungs solve only the survivors.
+        """
+        options = self.options
+        B = batch.batch_size
+        results: list[tuple | None] = [None] * B
+        live = np.arange(B)
+        current = batch
+        prev_response = np.zeros((B, len(batch.class_names)))
+        stage_iterations = np.zeros(B, dtype=int)
+        for stage, stage_tol in enumerate(rungs):
             solution = solve_batch_with_loss(
                 current,
                 tol=stage_tol,
                 max_iterations=options.max_iterations,
                 damping=options.damping,
-                initial_queue_lengths=seed,
                 iteration_hook=hook,
             )
             stage_iterations[live] += solution.iterations
             response = solution.cycle_response_ms  # (b, C)
-            if response.shape[1] == 0:
-                # Pure-open models: the mixed-network reduction is closed form.
-                for j, i in enumerate(live):
-                    results[i] = (solution.solution(j), 0.0)
-                break
-            residuals = None
-            if prev_response is not None:
-                residuals = np.max(np.abs(response - prev_response), axis=1)  # (b,)
-            if trace_on:
-                TRACER.instant(
-                    "lqn.solve.stage",
-                    stage=stage,
-                    stage_tol=stage_tol,
-                    iterations=int(solution.iterations.max()),
-                    residual_ms=None if residuals is None else float(residuals.max()),
-                    active=int(live.size),
+            stop, reported, residual = ladder_verdict(
+                np.full(live.size, stage),
+                len(rungs) - 1,
+                response,
+                prev_response,
+                options.convergence_criterion_ms,
+            )
+            if stage_hook is not None:
+                stage_hook(
+                    stage + 1,
+                    stage_tol,
+                    int(solution.iterations.max()),
+                    float(residual.max()) if stage else None,
+                    int(live.size),
                 )
-            if residuals is not None:
-                done = residuals < options.convergence_criterion_ms
-            else:
-                done = np.zeros(live.size, dtype=bool)
-            final_residuals = np.where(done, residuals if residuals is not None else 0.0, 0.0)
-            if stage_tol <= options.queue_tol:
-                # Ladder floor: whoever is left stops here, reporting a zero
-                # residual exactly as the historical serial ladder did.
-                done = np.ones(live.size, dtype=bool)
-            if done.any():
-                for j in np.flatnonzero(done):
-                    point = solution.solution(j)
-                    point.iterations = int(stage_iterations[live[j]])
-                    results[live[j]] = (point, float(final_residuals[j]))
-                keep = ~done
-                live = live[keep]
-                if live.size == 0:
-                    break
-                current = current.subset(np.flatnonzero(keep))
-                prev_response = response[keep].copy()
-                seed = solution.queue_lengths[keep] if warm_start else None
-            else:
-                prev_response = response.copy()
-                seed = solution.queue_lengths if warm_start else None
-        else:  # pragma: no cover - defensive
-            raise ConvergenceError(
-                "layered solver failed to converge",
-                iterations=int(stage_iterations.max()),
-            )
-        return results
-
-    def _solve_group_warm(self, inputs: list[MvaInput]) -> list[tuple]:
-        """Warm-started wave solve of one locality-ordered structure group.
-
-        Every :data:`WARM_START_STRIDE`-th point solves cold (one batch);
-        the points in between seed their iterate from the nearest cold
-        point's queue lengths, rescaled per class to their own population
-        (classes active in the warm point but absent from its seed keep the
-        default spread initialisation).  Returns results in ``inputs``
-        order.
-        """
-        n = len(inputs)
-        cold_positions = list(range(0, n, WARM_START_STRIDE))
-        warm_positions = [p for p in range(n) if p % WARM_START_STRIDE != 0]
-        cold_results = self._iterate_batch(
-            MvaBatchInput.from_points([inputs[p] for p in cold_positions]),
-            warm_start=True,
-        )
-        results: list[tuple | None] = [None] * n
-        for p, result in zip(cold_positions, cold_results):
-            results[p] = result
-        if warm_positions:
-            seeds = np.zeros(
-                (len(warm_positions), len(inputs[0].class_names), len(inputs[0].stations))
-            )
-            for w, p in enumerate(warm_positions):
-                nearest = min(cold_positions, key=lambda c: abs(c - p))
-                neighbour, _ = results[nearest]
-                n_new = np.asarray(inputs[p].populations, dtype=float)
-                n_old = np.asarray(inputs[nearest].populations, dtype=float)
-                scale = np.where(n_old > 0, n_new / np.where(n_old > 0, n_old, 1.0), 0.0)
-                seeded = neighbour.queue_lengths * scale[:, None]
-                newly_active = (n_new > 0) & (n_old == 0)
-                if newly_active.any():
-                    # No neighbour information for these classes: fall back to
-                    # the solver's default spread-over-visited-stations seed.
-                    inp = inputs[p]
-                    visits = ((inp.demands + inp.hidden_demands) > 0).astype(float)
-                    counts = np.maximum(visits.sum(axis=1, keepdims=True), 1.0)
-                    default = n_new[:, None] / counts * visits
-                    seeded = np.where(newly_active[:, None], default, seeded)
-                seeds[w] = seeded
-            warm_results = self._iterate_batch(
-                MvaBatchInput.from_points([inputs[p] for p in warm_positions]),
-                warm_start=True,
-                initial_queue_lengths=seeds,
-                # A neighbour-seeded iterate is already past the coarse rungs.
-                start_stage=3,
-            )
-            for p, result in zip(warm_positions, warm_results):
-                results[p] = result
+            for j in np.flatnonzero(stop):
+                point = solution.solution(j)
+                point.iterations = int(stage_iterations[live[j]])
+                results[live[j]] = (point, float(reported[j]))
+            keep = ~stop
+            live = live[keep]
+            if live.size == 0:
+                break
+            current = current.subset(np.flatnonzero(keep))
+            prev_response = response[keep]
         return results
 
     # -- packaging ----------------------------------------------------------------

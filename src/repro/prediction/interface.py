@@ -209,21 +209,15 @@ class LqnPredictor:
         )
         return self.solver.solve(model)
 
-    def solve_points(
-        self,
-        points: list[tuple[str, float, float]],
-        *,
-        warm_start: bool = True,
-    ):
+    def solve_points(self, points: list[tuple[str, float, float]]):
         """Solve a sweep of ``(server, n_clients, buy_fraction)`` points.
 
         One batched :meth:`LqnSolver.solve_sweep` call replaces a loop of
         per-point solves; the returned :class:`~repro.lqn.results.LqnSolution`
         list (input order) answers *both* response-time and throughput
         queries for every point, so sweep-shaped callers solve each model
-        once instead of once per metric.  ``warm_start=False`` makes every
-        point bit-identical to :meth:`predict_mrt_ms`'s solve; the default
-        trades that for speed within the solver's convergence criterion.
+        once instead of once per metric.  Every point is bit-identical to
+        :meth:`predict_mrt_ms`'s solve.
         """
         start = time.perf_counter()
         try:
@@ -235,7 +229,7 @@ class LqnPredictor:
                 )
                 for server, n_clients, buy_fraction in points
             ]
-            return self.solver.solve_sweep(models, warm_start=warm_start)
+            return self.solver.solve_sweep(models)
         finally:
             self.timer.record_batch(len(points), time.perf_counter() - start)
 

@@ -1,4 +1,4 @@
-"""Properties of the batched Bard–Schweitzer core and warm-started sweeps.
+"""Properties of the batched Bard–Schweitzer core and batched sweeps.
 
 The load-bearing claim of the batch solver is *freeze-on-converge
 bit-exactness*: every arithmetic step is elementwise over the batch axis
@@ -11,10 +11,8 @@ that claim down at both layers:
 * ``solve_batch`` vs per-point ``solve_bard_schweitzer`` (which *is* a
   batch of one) — hypothesis-generated multiclass networks, exact
   equality;
-* ``LqnSolver.solve_sweep(warm_start=False)`` vs a loop of
-  ``LqnSolver.solve`` on real trade models — exact equality;
-* warm-started sweeps — tolerance equality within the solver's
-  convergence criterion.
+* ``LqnSolver.solve_sweep`` vs a loop of ``LqnSolver.solve`` on real
+  trade models — exact equality.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.lqn.mva import (
     solve_batch,
     solve_bard_schweitzer,
 )
-from repro.lqn.solver import LqnSolver, SolverOptions, WARM_START_STRIDE
+from repro.lqn.solver import LqnSolver, SolverOptions
 from repro.servers.catalogue import APP_SERV_F, APP_SERV_S, APP_SERV_VF
 from repro.util.errors import ConvergenceError, ValidationError
 from repro.workload.trade import typical_workload
@@ -212,10 +210,14 @@ def test_batch_convergence_error_counts_stragglers():
         solve_batch(MvaBatchInput.from_points(points), max_iterations=1)
 
 
-def test_batch_seed_shape_is_validated():
+@pytest.mark.parametrize(
+    "tol, message",
+    [((), "ladder"), ((1e-2, 1e-1), "loosen"), ((1e-1, 0.0), "tol"), (float("nan"), "tol")],
+)
+def test_tolerance_ladder_is_validated(tol, message):
     batch = MvaBatchInput.from_points([_point([Station("cpu")], [2], [10.0], [[1.0]])])
-    with pytest.raises(ValidationError, match="initial_queue_lengths"):
-        solve_batch(batch, initial_queue_lengths=np.zeros((2, 1, 1)))
+    with pytest.raises(ValidationError, match=message):
+        solve_batch(batch, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +231,8 @@ def solver():
 
 @pytest.fixture(scope="module")
 def sweep_models():
-    # Long enough that the warm path engages (> WARM_START_STRIDE per
-    # structure group) and spanning two architectures (two groups).
+    # Several points per structure group, spanning three architectures
+    # (three groups).
     models = []
     for arch in (APP_SERV_S, APP_SERV_F, APP_SERV_VF):
         for n in (30, 120, 480, 700, 950, 1200):
@@ -240,7 +242,7 @@ def sweep_models():
 
 def test_cold_sweep_is_bitwise_identical_to_solve_loop(solver, sweep_models):
     serial = [solver.solve(model) for model in sweep_models]
-    swept = solver.solve_sweep(sweep_models, warm_start=False)
+    swept = solver.solve_sweep(sweep_models)
     assert len(swept) == len(serial)
     for a, b in zip(serial, swept):
         assert a.response_ms == b.response_ms
@@ -253,26 +255,11 @@ def test_cold_sweep_is_bitwise_identical_to_solve_loop(solver, sweep_models):
         assert a.converged and b.converged
 
 
-def test_warm_sweep_stays_within_convergence_criterion(solver, sweep_models):
-    assert len(sweep_models) > WARM_START_STRIDE
-    serial = [solver.solve(model) for model in sweep_models]
-    swept = solver.solve_sweep(sweep_models, warm_start=True)
-    criterion = solver.options.convergence_criterion_ms
-    for a, b in zip(serial, swept):
-        for name in a.response_ms:
-            assert b.response_ms[name] == pytest.approx(
-                a.response_ms[name], abs=criterion
-            )
-        assert b.mean_response_ms() == pytest.approx(
-            a.mean_response_ms(), abs=criterion
-        )
-
-
 def test_sweep_returns_solutions_in_input_order(solver, sweep_models):
-    # Locality ordering happens inside the sweep; results must come back
-    # aligned with the request, interleaved architectures and all.
+    # Grouping by structure happens inside the sweep; results must come
+    # back aligned with the request, interleaved architectures and all.
     shuffled = sweep_models[::2] + sweep_models[1::2]
-    swept = solver.solve_sweep(shuffled, warm_start=False)
+    swept = solver.solve_sweep(shuffled)
     for model, solution in zip(shuffled, swept):
         reference = {t.name for t in model.reference_tasks()}
         assert set(solution.response_ms) == reference

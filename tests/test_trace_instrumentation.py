@@ -77,6 +77,16 @@ class TestSolverInstrumentation:
         assert any(e.attributes["iteration"] == 1 for e in iterations)
         assert all("delta" in e.attributes for e in iterations)
 
+        # One instant per tolerance-ladder rung crossed, all along one
+        # trajectory: the last crossing is the step the solve stopped at.
+        stages = [e for e in events if e.name == "lqn.solve.stage"]
+        assert [e.attributes["stage"] for e in stages] == list(range(1, len(stages) + 1))
+        steps = [e.attributes["iterations"] for e in stages]
+        assert steps == sorted(steps)
+        assert steps[-1] == solve.attributes["iterations"]
+        assert stages[0].attributes["residual_ms"] is None
+        assert all(e.attributes["residual_ms"] >= 0.0 for e in stages[1:])
+
     def test_sweep_emits_batch_span_tree_and_convergence_instants(self, sink):
         models = [
             build_trade_model(APP_SERV_S, typical_workload(n), PARAMS)
