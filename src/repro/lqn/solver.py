@@ -208,49 +208,6 @@ class LqnSolver:
                 in enumerate(prepared)
             ]
 
-    def max_clients_for_goal(
-        self,
-        build_model,
-        rt_goal_ms: float,
-        *,
-        class_name: str,
-        upper_bound: int = 100_000,
-    ) -> tuple[int, int]:
-        """Largest client count whose predicted response time meets a goal.
-
-        The layered queuing method can only take the number of clients as an
-        *input*, so — as section 8.2 of the paper notes — finding a capacity
-        means searching over client counts, evaluating a prediction at each
-        probe.  ``build_model(n)`` must return the model for ``n`` clients.
-
-        Returns ``(max_clients, predictions_evaluated)``; the second element
-        is what makes the layered method's capacity queries expensive
-        (section 8.5).
-        """
-        check_positive(rt_goal_ms, "rt_goal_ms")
-        evaluations = 0
-
-        def meets(n: int) -> bool:
-            nonlocal evaluations
-            evaluations += 1
-            result = self.solve(build_model(n))
-            return result.response_ms[class_name] <= rt_goal_ms
-
-        if not meets(1):
-            return 0, evaluations
-        # Exponential expansion then binary search.
-        lo, hi = 1, 2
-        while hi <= upper_bound and meets(hi):
-            lo, hi = hi, hi * 2
-        hi = min(hi, upper_bound)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if meets(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, evaluations
-
     # -- preparation ----------------------------------------------------------
 
     def _prepare(self, model: LqnModel):

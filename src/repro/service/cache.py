@@ -23,7 +23,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, NamedTuple
 
 from repro.faults.injector import INJECTOR
 from repro.util.validation import (
@@ -36,14 +36,14 @@ from repro.util.validation import (
 __all__ = ["CacheKey", "CacheStats", "PredictionCache", "quantize_key"]
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
     """A hashable, quantized identity of one prediction request.
 
     ``operand_q`` is the quantized main operand — client count for
     mean-response-time/throughput queries, the response-time goal (ms)
     for capacity queries — and ``buy_q`` the quantized buy-mix step, so
-    two requests inside the same grid cell share one entry.
+    two requests inside the same grid cell share one entry.  A tuple, so
+    it is built, hashed and compared in C on every cache lookup.
     """
 
     server: str
@@ -74,16 +74,17 @@ def quantize_key(
     here, so a bad request never reaches the cache, the pool or a
     circuit breaker.
     """
-    require(operand_step > 0.0, "operand_step must be positive")
-    require(buy_step > 0.0, "buy_step must be positive")
+    if not (operand_step > 0.0 and buy_step > 0.0):
+        require(operand_step > 0.0, "operand_step must be positive")
+        require(buy_step > 0.0, "buy_step must be positive")
     if not (0.0 <= operand < math.inf and math.isfinite(buy_fraction)):
         check_non_negative(operand, "operand")
         check_finite(buy_fraction, "buy_fraction")
     return CacheKey(
-        server=server,
-        kind=kind,
-        operand_q=int(round(operand / operand_step)),
-        buy_q=int(round(buy_fraction / buy_step)),
+        server,
+        kind,
+        int(round(operand / operand_step)),
+        int(round(buy_fraction / buy_step)),
     )
 
 
@@ -126,7 +127,7 @@ class PredictionCache:
       recalibration workflow calls after refitting a model.
 
     The ``clock`` is injectable so TTL behaviour is testable without
-    sleeping.
+    sleeping; with ``ttl_s=None`` it is never read.
     """
 
     def __init__(
@@ -167,7 +168,7 @@ class PredictionCache:
         spec's injected count equal to entries actually forcibly
         expired — plain misses never advance it.
         """
-        now = self._clock()
+        now = self._clock() if self._ttl_s is not None else 0.0
         armed = INJECTOR.armed
         with self._lock:
             self._stats.requests += 1
@@ -203,7 +204,7 @@ class PredictionCache:
 
     def put(self, key: CacheKey, value: Any) -> None:
         """Insert/refresh ``key``, evicting the LRU entry when full."""
-        now = self._clock()
+        now = self._clock() if self._ttl_s is not None else 0.0
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)

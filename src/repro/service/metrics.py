@@ -14,11 +14,13 @@ fixed-bucket quantile export on top.
 
 from __future__ import annotations
 
+import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.util.validation import require
+from repro.util.validation import check_non_negative, require
 
 __all__ = [
     "Counter",
@@ -143,24 +145,17 @@ class LatencyHistogram:
         self._max_s = 0.0
 
     def observe(self, elapsed_s: float) -> None:
-        """Record one observation (seconds)."""
-        index = self._bucket_index(elapsed_s)
+        """Record one observation (seconds); NaN, ±inf and negatives raise
+        :class:`~repro.util.errors.ValidationError`."""
+        if not 0.0 <= elapsed_s < math.inf:
+            check_non_negative(elapsed_s, "elapsed_s")
+        index = bisect_left(self._bounds, elapsed_s)
         with self._lock:
             self._counts[index] += 1
             self._count += 1
             self._total_s += elapsed_s
             if elapsed_s > self._max_s:
                 self._max_s = elapsed_s
-
-    def _bucket_index(self, elapsed_s: float) -> int:
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if elapsed_s <= self._bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     @property
     def count(self) -> int:
@@ -307,6 +302,26 @@ class HistogramSnapshot:
     def mean_s(self) -> float:
         """Mean observation (0 when empty)."""
         return self.total_s / self.count if self.count else 0.0
+
+    @classmethod
+    def merge(cls, snapshots: Sequence["HistogramSnapshot"]) -> "HistogramSnapshot":
+        """One snapshot of every observation in ``snapshots`` (at least one).
+
+        Counts, ``max_s`` and quantiles equal one histogram's fed them all;
+        ``total_s`` can differ from it by float summation order.
+        """
+        bounds = snapshots[0].bounds
+        require(
+            all(s.bounds == bounds for s in snapshots),
+            "only histograms with the same bucket bounds can be merged",
+        )
+        return cls(
+            bounds=bounds,
+            counts=tuple(map(sum, zip(*(s.counts for s in snapshots)))),
+            count=sum(s.count for s in snapshots),
+            total_s=sum(s.total_s for s in snapshots),
+            max_s=max(s.max_s for s in snapshots),
+        )
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (seconds) from the bucket state."""

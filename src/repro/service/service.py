@@ -48,7 +48,12 @@ from repro.service.breaker import (
     CircuitOpenError,
 )
 from repro.service.cache import PredictionCache, quantize_key
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import (
+    HistogramSnapshot,
+    LatencyHistogram,
+    MetricsRegistry,
+    MetricsSnapshot,
+)
 from repro.service.pool import CoalescingPool
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -90,7 +95,7 @@ class PredictionService:
     * a metrics registry exporting hit rates, p50/p95/p99 latencies and
       degradation counts.
 
-    The ``timer`` records *service-level* delays (what a caller
+    The ``timer`` reports *service-level* delays (what a caller
     experienced, cache hits included), subsuming the role the raw
     predictors' timers play in the offline delay comparison.
     """
@@ -115,10 +120,11 @@ class PredictionService:
         self.preflight = preflight
         self.config = config or ServiceConfig()
         self.name = name if name is not None else f"service({primary.name})"
-        self.timer = PredictionTimer(
-            startup_delay_s=getattr(primary.timer, "startup_delay_s", 0.0)
-        )
+        self._startup_delay_s = getattr(primary.timer, "startup_delay_s", 0.0)
         self.metrics = MetricsRegistry()
+        # kind -> its histogram in ``metrics``: the one per-request record,
+        # registered on first use; see metrics_snapshot for what derives.
+        self._latency: dict[str, LatencyHistogram] = {}
         self.cache = PredictionCache(
             max_entries=self.config.cache_entries,
             ttl_s=self.config.cache_ttl_s,
@@ -136,36 +142,28 @@ class PredictionService:
             else None
         )
 
+    @property
+    def timer(self) -> PredictionTimer:
+        """A read-only copy of the service-level delays, from ``latency``."""
+        latency = self.metrics_snapshot().histograms.get("latency")
+        if latency is None:
+            return PredictionTimer(startup_delay_s=self._startup_delay_s)
+        return PredictionTimer(latency.count, latency.total_s, self._startup_delay_s)
+
     # -- Predictor protocol ---------------------------------------------------
 
     def predict_mrt_ms(
         self, server: str, n_clients: float, *, buy_fraction: float = 0.0
     ) -> float:
         """Predicted mean response time (ms), served with caching."""
-        return self._serve(
-            "mrt",
-            server,
-            n_clients,
-            buy_fraction,
-            lambda: self.primary.predict_mrt_ms(
-                server, n_clients, buy_fraction=buy_fraction
-            ),
-            lambda p: p.predict_mrt_ms(server, n_clients, buy_fraction=buy_fraction),
-        )
+        return self._serve("mrt", "predict_mrt_ms", server, n_clients, buy_fraction)
 
     def predict_throughput(
         self, server: str, n_clients: float, *, buy_fraction: float = 0.0
     ) -> float:
         """Predicted throughput (req/s), served with caching."""
         return self._serve(
-            "throughput",
-            server,
-            n_clients,
-            buy_fraction,
-            lambda: self.primary.predict_throughput(
-                server, n_clients, buy_fraction=buy_fraction
-            ),
-            lambda p: p.predict_throughput(server, n_clients, buy_fraction=buy_fraction),
+            "throughput", "predict_throughput", server, n_clients, buy_fraction
         )
 
     def max_clients(
@@ -177,16 +175,7 @@ class PredictionService:
         queries — the layered method's most expensive operation, one
         solve per search probe — collapse to one search per grid cell.
         """
-        return self._serve(
-            "capacity",
-            server,
-            rt_goal_ms,
-            buy_fraction,
-            lambda: self.primary.max_clients(
-                server, rt_goal_ms, buy_fraction=buy_fraction
-            ),
-            lambda p: p.max_clients(server, rt_goal_ms, buy_fraction=buy_fraction),
-        )
+        return self._serve("capacity", "max_clients", server, rt_goal_ms, buy_fraction)
 
     def clients_at_max(self, server: str) -> float:
         """Max-throughput load, delegated to whichever side can answer.
@@ -222,9 +211,24 @@ class PredictionService:
         """Context-manager exit: shut the worker pool down."""
         self.shutdown()
 
+    def metrics_snapshot(self) -> MetricsSnapshot:
+        """A consistent copy of ``metrics`` plus the totals derived from it:
+        ``requests`` sums the ``latency.<kind>`` counts and ``latency``
+        merges those histograms (see :meth:`HistogramSnapshot.merge`)."""
+        snapshot = self.metrics.snapshot()
+        kinds = [
+            histogram
+            for name, histogram in snapshot.histograms.items()
+            if name.startswith("latency.")
+        ]
+        if kinds:
+            snapshot.counters["requests"] = sum(h.count for h in kinds)
+            snapshot.histograms["latency"] = HistogramSnapshot.merge(kinds)
+        return snapshot
+
     def export_metrics(self) -> dict[str, float]:
         """One flat dict of every service metric, cache and pool stat."""
-        out = self.metrics.export()
+        out = self.metrics_snapshot().export()
         cache = self.cache.stats()
         out.update(
             {
@@ -275,7 +279,7 @@ class PredictionService:
     def _degrade(
         self,
         reason: str,
-        fallback_call: Callable[[Predictor], float],
+        ask: Callable[[Predictor], float],
         error: Exception,
     ) -> float:
         """Answer from the fallback predictor (or re-raise ``error``)."""
@@ -287,36 +291,45 @@ class PredictionService:
         if self.fallback is None:
             raise error
         with TRACER.span("service.fallback_call", reason=reason):
-            return fallback_call(self.fallback)
+            return ask(self.fallback)
 
     def _serve(
         self,
         kind: str,
+        method: str,
         server: str,
         operand: float,
         buy_fraction: float,
-        compute: Callable[[], float],
-        fallback_call: Callable[[Predictor], float],
     ) -> float:
-        """The common serving path: cache → admission → pool → degrade."""
-        start = self._clock.perf_s()
-        latency = self.metrics.histogram("latency")
-        self.metrics.counter("requests").inc()
-        key = quantize_key(
-            server,
-            kind,
-            operand,
-            buy_fraction,
-            operand_step=self.config.operand_step,
-            buy_step=self.config.buy_step,
-        )
-        with TRACER.span("service.request", kind=kind, server=server) as span:
-            try:
+        """The common serving path: cache → admission → pool → degrade.
+
+        ``method`` names the :class:`Predictor` query answering ``kind``.
+        Every call, a rejected one too, is timed once, into its kind's
+        histogram.
+        """
+        perf_s = self._clock.perf_s
+        start = perf_s()
+        try:
+            key = quantize_key(
+                server,
+                kind,
+                operand,
+                buy_fraction,
+                operand_step=self.config.operand_step,
+                buy_step=self.config.buy_step,
+            )
+            with TRACER.span("service.request", kind=kind, server=server) as span:
                 hit, value = self.cache.get(key)
                 TRACER.instant("service.cache", hit=hit)
                 if hit:
                     span.set_attribute("outcome", "cache_hit")
                     return value
+
+                def ask(predictor: Predictor) -> float:
+                    # Looked up when called: callers may rewrap the predictors.
+                    return getattr(predictor, method)(
+                        server, operand, buy_fraction=buy_fraction
+                    )
 
                 if self.preflight is not None:
                     try:
@@ -331,7 +344,7 @@ class PredictionService:
                     span.set_attribute("outcome", "degraded.saturated")
                     return self._degrade(
                         "saturated",
-                        fallback_call,
+                        ask,
                         ServiceSaturatedError(
                             f"{self.name}: admission queue full "
                             f"({self.config.admission.max_pending} pending) and no "
@@ -348,7 +361,7 @@ class PredictionService:
                         span.set_attribute("outcome", "degraded.breaker_open")
                         return self._degrade(
                             "breaker_open",
-                            fallback_call,
+                            ask,
                             CircuitOpenError(
                                 f"{self.name}: circuit breaker is "
                                 f"{self.breaker.state.value} and no fallback "
@@ -359,7 +372,7 @@ class PredictionService:
                     def _task() -> float:
                         with TRACER.span("service.execute", kind=kind, server=server):
                             result = call_with_retries(
-                                compute,
+                                lambda: ask(self.primary),
                                 self.config.admission,
                                 on_retry=lambda _e: self.metrics.counter(
                                     "retries"
@@ -411,7 +424,7 @@ class PredictionService:
                         span.set_attribute("outcome", "degraded.timeout")
                         return self._degrade(
                             "timeout",
-                            fallback_call,
+                            ask,
                             PredictionTimeoutError(
                                 f"{self.name}: {kind} prediction for {server!r} missed "
                                 f"its {self.config.admission.timeout_s}s deadline and "
@@ -424,14 +437,17 @@ class PredictionService:
                             recorder.record_failure()
                         self.metrics.counter("errors").inc()
                         span.set_attribute("outcome", "degraded.error")
-                        return self._degrade("error", fallback_call, error)
+                        return self._degrade("error", ask, error)
                     finally:
                         if not recorded:
                             recorder.record_failure()
                 finally:
                     self.admission.exit()
-            finally:
-                elapsed = self._clock.perf_s() - start
-                latency.observe(elapsed)
-                self.metrics.histogram(f"latency.{kind}").observe(elapsed)
-                self.timer.record(elapsed)
+        finally:
+            elapsed = perf_s() - start
+            latency = self._latency.get(kind)
+            if latency is None:  # racing threads get the registry's one instance
+                latency = self._latency[kind] = self.metrics.histogram(
+                    f"latency.{kind}"
+                )
+            latency.observe(elapsed)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.prediction.interface import PredictionTimer
 from repro.service.cache import PredictionCache, quantize_key
 from repro.service.service import PredictionService, ServiceConfig
@@ -74,6 +76,26 @@ class TestTtlBoundary:
         clock.advance(8.0)  # 16 s after the first put, 8 s after the second
         hit, value = cache.get(key)
         assert (hit, value) == (True, 2.0)
+
+
+class TestNoTtlNoClock:
+    @pytest.mark.parametrize("ttl_s, expected_reads", [(None, 0), (10.0, 5)])
+    def test_get_and_put_read_the_clock_only_with_a_ttl(self, ttl_s, expected_reads):
+        reads = []
+
+        def counting_clock() -> float:
+            reads.append(1)
+            return 0.0
+
+        cache = PredictionCache(max_entries=1, ttl_s=ttl_s, clock=counting_clock)
+        k1 = quantize_key("S", "mrt", 100, 0.0)
+        k2 = quantize_key("S", "mrt", 200, 0.0)
+        assert cache.get(k1) == (False, None)  # miss
+        cache.put(k1, 1.0)
+        cache.put(k1, 2.0)  # refresh
+        assert cache.get(k1) == (True, 2.0)  # hit
+        cache.put(k2, 3.0)  # evicts k1
+        assert len(reads) == expected_reads
 
 
 class TestEvictionOrderingUnderQuantizedKeys:

@@ -10,6 +10,7 @@ from repro.lqn.builder import (
 )
 from repro.lqn.model import Call, CallKind, Entry, LqnModel, Processor, Scheduling, Task
 from repro.lqn.solver import LqnSolver, SolverOptions
+from repro.prediction.interface import LqnPredictor
 from repro.servers.catalogue import APP_SERV_F, APP_SERV_S
 from repro.util.errors import ValidationError
 from repro.workload.trade import mixed_workload, typical_workload
@@ -165,30 +166,27 @@ class TestConvergenceCriterion:
 
 
 class TestMaxClientsSearch:
-    def test_search_finds_capacity(self):
-        solver = LqnSolver(SolverOptions(convergence_criterion_ms=1.0))
+    """``LqnPredictor.max_clients``, the one layered capacity search."""
 
-        def build(n: int) -> LqnModel:
-            return build_trade_model(APP_SERV_F, typical_workload(n), PARAMS)
-
-        capacity, evaluations = solver.max_clients_for_goal(
-            build, 100.0, class_name="browse"
+    @staticmethod
+    def _predictor() -> LqnPredictor:
+        return LqnPredictor(
+            PARAMS,
+            {APP_SERV_F.name: APP_SERV_F},
+            solver_options=SolverOptions(convergence_criterion_ms=1.0),
         )
-        assert evaluations > 3  # it is a search, not a closed form
-        # Verify the boundary: capacity meets the goal, capacity+1%-ish not.
-        at = solver.solve(build(capacity)).response_ms["browse"]
-        beyond = solver.solve(build(int(capacity * 1.05) + 2)).response_ms["browse"]
-        assert at <= 100.0
-        assert beyond > 100.0
+
+    def test_search_finds_capacity(self):
+        predictor = self._predictor()
+        before = predictor.solver.solve_count
+        capacity = predictor.max_clients(APP_SERV_F.name, 100.0)
+        assert predictor.solver.solve_count - before > 3  # a search, not a closed form
+        # The boundary is exact: capacity meets the goal, one more client not.
+        assert predictor.predict_mrt_ms(APP_SERV_F.name, capacity) <= 100.0
+        assert predictor.predict_mrt_ms(APP_SERV_F.name, capacity + 1) > 100.0
 
     def test_goal_unreachable_returns_zero(self):
-        solver = LqnSolver()
-
-        def build(n: int) -> LqnModel:
-            return build_trade_model(APP_SERV_F, typical_workload(n), PARAMS)
-
-        capacity, _ = solver.max_clients_for_goal(build, 0.001, class_name="browse")
-        assert capacity == 0
+        assert self._predictor().max_clients(APP_SERV_F.name, 0.001) == 0
 
 
 class TestAsyncAndPhase2:

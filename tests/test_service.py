@@ -3,10 +3,13 @@ metrics, facade) using fast deterministic stub predictors."""
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.prediction.interface import PredictionTimer, Predictor
 from repro.service import (
@@ -15,6 +18,7 @@ from repro.service import (
     BreakerConfig,
     BreakerState,
     CoalescingPool,
+    HistogramSnapshot,
     LatencyHistogram,
     LoadGenConfig,
     LoadGenerator,
@@ -28,6 +32,7 @@ from repro.service import (
     call_with_retries,
     quantize_key,
 )
+from repro.service.metrics import DEFAULT_LATENCY_BUCKETS_S
 from repro.util.errors import CalibrationError, ValidationError
 from repro.util.rng import spawn_rng
 
@@ -175,6 +180,26 @@ class TestMetrics:
             histogram.observe(float(10.0 ** rng.uniform(-6.0, 0.5)))
         assert registry.export() == registry.snapshot().export()
 
+    def test_merged_snapshots_equal_one_histogram_of_every_observation(self):
+        rng = spawn_rng(2004, "merge")
+        parts = [LatencyHistogram() for _ in range(3)]
+        whole = LatencyHistogram()
+        for i in range(300):
+            elapsed_s = float(10.0 ** rng.uniform(-6.0, 1.6))
+            parts[i % 3].observe(elapsed_s)
+            whole.observe(elapsed_s)
+        merged = HistogramSnapshot.merge([part.snapshot() for part in parts])
+        expected = whole.snapshot()
+        assert (merged.counts, merged.count, merged.max_s) == (
+            expected.counts,
+            expected.count,
+            expected.max_s,
+        )
+        assert merged.percentiles() == expected.percentiles()
+        assert merged.total_s == pytest.approx(expected.total_s)
+        with pytest.raises(ValidationError):
+            HistogramSnapshot.merge([expected, LatencyHistogram((1.0,)).snapshot()])
+
     def test_bucket_quantile_interpolates_and_handles_overflow(self):
         """The shared estimator: interpolation in-bucket, max_s for overflow."""
         bounds = (1.0, 2.0, 4.0)
@@ -187,6 +212,57 @@ class TestMetrics:
         # All mass in the overflow bucket: the observed max is the answer.
         overflow = (0, 0, 0, 5)
         assert bucket_quantile(bounds, overflow, 5, 7.5, 0.99) == 7.5
+
+
+def _reference_bucket_index(bounds, elapsed_s):
+    """Reference bucket search: the first bound ``>= elapsed_s``, by hand."""
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if elapsed_s <= bounds[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _bucket_of(elapsed_s):
+    """The bucket one observation lands in, read back from a snapshot."""
+    histogram = LatencyHistogram()
+    histogram.observe(elapsed_s)
+    return histogram.snapshot().counts.index(1)
+
+
+_BOUND_NEIGHBOURS = sorted(
+    {
+        value
+        for bound in DEFAULT_LATENCY_BUCKETS_S
+        for value in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf))
+    }
+    | {0.0}
+)
+
+
+class TestHistogramBuckets:
+    @pytest.mark.parametrize("elapsed_s", _BOUND_NEIGHBOURS)
+    def test_every_bound_and_its_neighbours_keep_their_bucket(self, elapsed_s):
+        assert _bucket_of(elapsed_s) == _reference_bucket_index(
+            DEFAULT_LATENCY_BUCKETS_S, elapsed_s
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_any_finite_non_negative_float_keeps_its_bucket(self, elapsed_s):
+        assert _bucket_of(elapsed_s) == _reference_bucket_index(
+            DEFAULT_LATENCY_BUCKETS_S, elapsed_s
+        )
+
+    @pytest.mark.parametrize("elapsed_s", [NAN, INF, -INF, -1e-9, -1.0])
+    def test_nan_infinite_and_negative_observations_are_rejected(self, elapsed_s):
+        histogram = LatencyHistogram()
+        with pytest.raises(ValidationError):
+            histogram.observe(elapsed_s)
+        assert histogram.count == 0
 
 
 class TestCoalescingPool:
@@ -455,6 +531,9 @@ class TestPredictionService:
             assert service.primary.calls == 0
             assert service.cache.stats().requests == 0
             assert service.breaker.state is BreakerState.CLOSED
+            # Rejected calls are still requests, each counted exactly once.
+            metrics = service.export_metrics()
+            assert metrics["requests"] == metrics["latency.count"] == 10
 
 
 class TestResourceManagerOnService:

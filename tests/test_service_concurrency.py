@@ -7,6 +7,7 @@ thrash, in-flight coalescing, and degradation under deadline misses.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -15,12 +16,14 @@ import pytest
 from repro.prediction.interface import PredictionTimer
 from repro.service import (
     AdmissionConfig,
+    LatencyHistogram,
     MetricsRegistry,
     PredictionCache,
     PredictionService,
     ServiceConfig,
     quantize_key,
 )
+from repro.util.errors import ValidationError
 from tests.test_service import StubPredictor
 
 
@@ -130,6 +133,61 @@ class TestServiceUnderConcurrency:
             # was a hit or a coalesced join.
             assert service.primary.calls <= 50 + metrics["pool.coalesced"]
             assert metrics["cache.hit_rate"] > 0.5
+
+    def test_derived_totals_equal_one_histogram_of_every_request(self, monkeypatch):
+        """requests, latency.* and the timer all derive from the per-kind
+        histograms, and agree with one histogram fed every observation."""
+        observed: list[float] = []
+        lock = threading.Lock()
+        observe = LatencyHistogram.observe
+
+        def recording_observe(histogram, elapsed_s):
+            with lock:
+                observed.append(elapsed_s)
+            observe(histogram, elapsed_s)
+
+        monkeypatch.setattr(LatencyHistogram, "observe", recording_observe)
+        service = PredictionService(StubPredictor(), config=ServiceConfig(max_workers=4))
+        methods = ("predict_mrt_ms", "predict_throughput", "max_clients")
+        n_threads, per_thread = 4, 300
+        rejected = [0] * n_threads
+
+        def work(t: int, i: int) -> None:
+            operand = float("nan") if i % 7 == 0 else 100 + (t + i) % 40
+            try:
+                getattr(service, methods[i % 3])("S", operand)
+            except ValidationError:
+                rejected[t] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the first-use registrations
+        try:
+            with service:
+                _hammer(n_threads, per_thread, work)
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_threads * per_thread
+        snapshot = service.metrics_snapshot()
+        metrics = service.export_metrics()
+        timer = service.timer
+
+        assert sum(rejected) > 0
+        per_kind = [metrics[f"latency.{kind}.count"] for kind in ("mrt", "throughput", "capacity")]
+        assert metrics["requests"] == metrics["latency.count"] == total
+        assert timer.evaluations == sum(per_kind) == total
+        reference = LatencyHistogram()
+        for elapsed_s in observed:
+            observe(reference, elapsed_s)
+        expected = reference.snapshot()
+        merged = snapshot.histograms["latency"]
+        assert (merged.counts, merged.count, merged.max_s) == (
+            expected.counts,
+            expected.count,
+            expected.max_s,
+        )
+        assert merged.percentiles() == expected.percentiles()
+        assert merged.total_s == pytest.approx(expected.total_s)
+        assert timer.total_time_s == pytest.approx(expected.total_s)
 
     def test_fallback_on_timeout_returns_historical_answer_and_counts(self):
         primary = StubPredictor(delay_s=0.5, name="slow-lqn")
