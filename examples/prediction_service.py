@@ -51,7 +51,6 @@ class StalledPredictor:
     def __init__(self, inner) -> None:
         self.inner = inner
         self.name = inner.name
-        self.timer = inner.timer
         self.release = threading.Event()
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):

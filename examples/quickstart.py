@@ -29,7 +29,7 @@ def main() -> None:
         f"{calibration.calibration_time_s:.2f}s"
     )
     print(
-        f"  hybrid start-up delay: {hybrid.timer.startup_delay_s:.3f}s "
+        f"  hybrid start-up delay: {hybrid.model.report.startup_delay_s:.3f}s "
         f"({hybrid.model.report.lqn_solves} layered solves)"
     )
 

@@ -1,8 +1,7 @@
 """Cross-method prediction API and evaluation.
 
 * :mod:`repro.prediction.interface` — a single :class:`Predictor` protocol
-  implemented by all three methods (historical, layered queuing, hybrid),
-  with per-predictor delay accounting (section 8.5);
+  implemented by all three methods (historical, layered queuing, hybrid);
 * :mod:`repro.prediction.accuracy` — the paper's accuracy metric and its
   region-based aggregation (the overall accuracy is "the mean of the lower
   equation accuracy and the upper equation accuracy");
@@ -15,7 +14,6 @@ from repro.prediction.interface import (
     HistoricalPredictor,
     HybridPredictor,
     LqnPredictor,
-    PredictionTimer,
     Predictor,
 )
 from repro.prediction.accuracy import (
@@ -30,7 +28,6 @@ from repro.prediction.validation import CalibrationDiagnostics, diagnose_histori
 
 __all__ = [
     "Predictor",
-    "PredictionTimer",
     "HistoricalPredictor",
     "LqnPredictor",
     "HybridPredictor",

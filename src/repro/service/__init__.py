@@ -14,7 +14,7 @@ service that changes that arithmetic:
 * :mod:`repro.service.admission` — bounded admission, per-request
   deadlines and transient-error retries with exponential backoff;
 * :mod:`repro.service.metrics` — counters/gauges/latency histograms
-  with p50/p95/p99 export, subsuming ``PredictionTimer`` accounting;
+  with p50/p95/p99 export, the service's one record of request delays;
 * :mod:`repro.service.breaker` — a clock-injected circuit breaker with
   an EWMA health score, shielding the fallback path from a primary that
   is failing repeatedly (exercised by ``repro.faults`` chaos plans);

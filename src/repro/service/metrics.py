@@ -1,15 +1,11 @@
 """Thread-safe service metrics: counters, gauges and latency histograms.
 
-The serving layer needs richer accounting than the cumulative
-:class:`~repro.prediction.interface.PredictionTimer` the offline
-experiments read: a resource manager operating a shared prediction
-service wants tail latencies (p95/p99, not just the mean), cache
-hit rates and degradation counts, all collected concurrently from many
-threads.  This module provides that registry.  A
-:class:`LatencyHistogram` subsumes everything a ``PredictionTimer``
-reports — ``count`` is its ``evaluations``, ``total_s`` its
-``total_time_s`` and ``mean_s`` its ``mean_delay_s`` — and adds
-fixed-bucket quantile export on top.
+A resource manager operating a shared prediction service wants tail
+latencies (p95/p99, not just the mean), cache hit rates and degradation
+counts, all collected concurrently from many threads.  This module
+provides that registry.  A :class:`LatencyHistogram` keeps the count,
+total and mean of its observations and adds fixed-bucket quantile
+export on top.
 """
 
 from __future__ import annotations
@@ -159,19 +155,19 @@ class LatencyHistogram:
 
     @property
     def count(self) -> int:
-        """Number of observations (a ``PredictionTimer``'s ``evaluations``)."""
+        """Number of observations."""
         with self._lock:
             return self._count
 
     @property
     def total_s(self) -> float:
-        """Sum of observations (a ``PredictionTimer``'s ``total_time_s``)."""
+        """Sum of observations (s)."""
         with self._lock:
             return self._total_s
 
     @property
     def mean_s(self) -> float:
-        """Mean observation (a ``PredictionTimer``'s ``mean_delay_s``)."""
+        """Mean observation (s)."""
         with self._lock:
             return self._total_s / self._count if self._count else 0.0
 

@@ -32,7 +32,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.prediction.interface import PredictionTimer, Predictor
+from repro.prediction.interface import Predictor
 from repro.service.admission import (
     TRANSIENT_ERRORS,
     AdmissionConfig,
@@ -78,8 +78,8 @@ class ServiceConfig:
 class PredictionService:
     """Serve a :class:`~repro.prediction.interface.Predictor` online.
 
-    Satisfies the ``Predictor`` protocol itself (``name``, ``timer``,
-    the three query methods), so it can stand wherever a raw predictor
+    Satisfies the ``Predictor`` protocol itself (``name`` and the three
+    query methods), so it can stand wherever a raw predictor
     does — as a resource manager's model, as ground truth in
     :func:`~repro.resource_manager.runtime.evaluate_runtime`, or under
     the section-8.5 delay experiment — while adding:
@@ -95,9 +95,10 @@ class PredictionService:
     * a metrics registry exporting hit rates, p50/p95/p99 latencies and
       degradation counts.
 
-    The ``timer`` reports *service-level* delays (what a caller
-    experienced, cache hits included), subsuming the role the raw
-    predictors' timers play in the offline delay comparison.
+    Every served request is timed once, into the ``latency.<kind>``
+    histogram of its query; :meth:`metrics_snapshot` and
+    :meth:`export_metrics` report the *service-level* delays (what a
+    caller experienced, cache hits included) merged as ``latency.*``.
     """
 
     def __init__(
@@ -120,7 +121,6 @@ class PredictionService:
         self.preflight = preflight
         self.config = config or ServiceConfig()
         self.name = name if name is not None else f"service({primary.name})"
-        self._startup_delay_s = getattr(primary.timer, "startup_delay_s", 0.0)
         self.metrics = MetricsRegistry()
         # kind -> its histogram in ``metrics``: the one per-request record,
         # registered on first use; see metrics_snapshot for what derives.
@@ -141,14 +141,6 @@ class PredictionService:
             if self.config.breaker is not None
             else None
         )
-
-    @property
-    def timer(self) -> PredictionTimer:
-        """A read-only copy of the service-level delays, from ``latency``."""
-        latency = self.metrics_snapshot().histograms.get("latency")
-        if latency is None:
-            return PredictionTimer(startup_delay_s=self._startup_delay_s)
-        return PredictionTimer(latency.count, latency.total_s, self._startup_delay_s)
 
     # -- Predictor protocol ---------------------------------------------------
 

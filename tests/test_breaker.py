@@ -188,10 +188,7 @@ class _FailingPredictor:
     service's retry/degrade machinery engages)."""
 
     def __init__(self):
-        from repro.prediction.interface import PredictionTimer
-
         self.name = "failing"
-        self.timer = PredictionTimer()
         self.healthy = False
         self.calls = 0
 
@@ -217,10 +214,7 @@ class _ConstantPredictor:
     """An always-healthy fallback."""
 
     def __init__(self):
-        from repro.prediction.interface import PredictionTimer
-
         self.name = "constant"
-        self.timer = PredictionTimer()
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
         return 7.0

@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.prediction.interface import PredictionTimer
 from repro.service.cache import PredictionCache, quantize_key
 from repro.service.service import PredictionService, ServiceConfig
 from repro.util.clock import FakeClock
@@ -23,7 +22,6 @@ class CountingPredictor:
 
     def __init__(self):
         self.name = "counting"
-        self.timer = PredictionTimer()
         self.calls = 0
         self._lock = threading.Lock()
 

@@ -188,6 +188,18 @@ class TestMaxClientsSearch:
     def test_goal_unreachable_returns_zero(self):
         assert self._predictor().max_clients(APP_SERV_F.name, 0.001) == 0
 
+    def test_capacity_near_search_bound_is_bracketed(self):
+        predictor = self._predictor()
+        capacity = predictor.max_clients(APP_SERV_F.name, 3e6)
+        assert 2**19 < capacity < 2**20  # found on the last doubling step
+        assert predictor.predict_mrt_ms(APP_SERV_F.name, capacity) <= 3e6
+        assert predictor.predict_mrt_ms(APP_SERV_F.name, capacity + 1) > 3e6
+
+    def test_goal_met_at_search_bound_raises(self):
+        # No probe fails the goal, so there is no capacity to bracket.
+        with pytest.raises(ValidationError, match="1,048,576"):
+            self._predictor().max_clients(APP_SERV_F.name, 1e8)
+
 
 class TestAsyncAndPhase2:
     def _model(self, *, async_calls: bool = False, phase2: float = 0.0) -> LqnModel:

@@ -147,10 +147,7 @@ class _StubPredictor:
     """Minimal Predictor returning canned values."""
 
     def __init__(self):
-        from repro.prediction.interface import PredictionTimer
-
         self.name = "stub"
-        self.timer = PredictionTimer()
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
         return 42.0

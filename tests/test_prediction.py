@@ -117,13 +117,6 @@ class TestPredictorWrappers:
         hybrid = HybridPredictor.from_parameters(params, [APP_SERV_F])
         return lqn, hybrid
 
-    def test_lqn_predictor_timed(self, predictors):
-        lqn, _ = predictors
-        before = lqn.timer.evaluations
-        lqn.predict_mrt_ms("AppServF", 200)
-        assert lqn.timer.evaluations == before + 1
-        assert lqn.timer.total_time_s > 0.0
-
     def test_lqn_unknown_server(self, predictors):
         lqn, _ = predictors
         from repro.util.errors import CalibrationError
@@ -133,7 +126,17 @@ class TestPredictorWrappers:
 
     def test_hybrid_startup_recorded(self, predictors):
         _, hybrid = predictors
-        assert hybrid.timer.startup_delay_s > 0.0
+        assert hybrid.model.report.startup_delay_s > 0.0
+
+    def test_clients_at_max_reads_the_throughput_model(self, predictors):
+        from repro.prediction.interface import HistoricalPredictor
+
+        _, hybrid = predictors
+        historical = HistoricalPredictor(hybrid.model.historical)
+        expected = hybrid.model.historical.throughput_model.clients_at_max("AppServF")
+        assert expected > 0.0
+        assert hybrid.clients_at_max("AppServF") == expected
+        assert historical.clients_at_max("AppServF") == expected
 
     def test_hybrid_prediction_much_faster_than_lqn(self, predictors):
         lqn, hybrid = predictors
@@ -162,10 +165,38 @@ class TestPredictorWrappers:
         assert capacity > 0
         assert lqn.solver.solve_count - solves_before > 3
 
-    def test_mean_delay_property(self, predictors):
-        lqn, _ = predictors
-        lqn.predict_mrt_ms("AppServF", 100)
-        assert lqn.timer.mean_delay_s > 0.0
+    @pytest.mark.parametrize(
+        "kind", ["historical", "layered_queuing", "hybrid", "service", "minimal"]
+    )
+    def test_satisfies_predictor_protocol(self, predictors, kind):
+        from repro.prediction.interface import HistoricalPredictor, Predictor
+        from repro.service import PredictionService
+
+        lqn, hybrid = predictors
+        with PredictionService(lqn) as service:
+            candidate = {
+                "historical": HistoricalPredictor(hybrid.model.historical),
+                "layered_queuing": lqn,
+                "hybrid": hybrid,
+                "service": service,
+                "minimal": _MinimalPredictor(),
+            }[kind]
+            assert isinstance(candidate, Predictor)
+
+
+class _MinimalPredictor:
+    """Only what the protocol asks for: a name and the three queries."""
+
+    name = "minimal"
+
+    def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
+        return 100.0
+
+    def predict_throughput(self, server, n_clients, *, buy_fraction=0.0):
+        return 10.0
+
+    def max_clients(self, server, rt_goal_ms, *, buy_fraction=0.0):
+        return 1
 
 
 NAN = float("nan")

@@ -17,7 +17,6 @@ from repro.historical.relationships import (
     UpperEquation,
 )
 from repro.lqn.mva import MvaInput, Station, StationKind, solve_bard_schweitzer
-from repro.prediction.interface import PredictionTimer
 from repro.resource_manager.allocation import ManagedServer, allocate
 from repro.resource_manager.sla import ClassWorkload
 from repro.util.rng import spawn_rng
@@ -111,7 +110,6 @@ class _CapacityPredictor:
     def __init__(self, capacities):
         self.capacities = capacities
         self.name = "cap"
-        self.timer = PredictionTimer()
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
         return 1.0 if n_clients <= self.capacities[server] else 1e12

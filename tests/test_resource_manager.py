@@ -8,7 +8,6 @@ goal (response jumps above every goal past C).
 
 import pytest
 
-from repro.prediction.interface import PredictionTimer
 from repro.resource_manager.allocation import Allocation, ManagedServer, allocate
 from repro.resource_manager.runtime import evaluate_runtime
 from repro.resource_manager.sla import ClassWorkload, class_rt_factor
@@ -25,7 +24,6 @@ class StepPredictor:
         self.capacities = capacities
         self.scale = scale
         self.name = name
-        self.timer = PredictionTimer()
 
     def _capacity(self, server: str) -> int:
         return int(self.capacities[server] * self.scale)

@@ -3,7 +3,6 @@ cross-check that prediction-enhanced routing beats the naive baseline."""
 
 import pytest
 
-from repro.prediction.interface import PredictionTimer
 from repro.resource_manager.allocation import ManagedServer
 from repro.resource_manager.routing import (
     route_equal_response_times,
@@ -19,7 +18,6 @@ class LinearPredictor:
     def __init__(self, params):
         self.params = params  # arch -> (base_ms, per_client_ms)
         self.name = "linear"
-        self.timer = PredictionTimer()
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
         base, slope = self.params[server]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prediction.interface import PredictionTimer, Predictor
+from repro.prediction.interface import Predictor
 from repro.service import (
     AdmissionConfig,
     AdmissionController,
@@ -45,7 +45,6 @@ class StubPredictor:
 
     def __init__(self, *, delay_s: float = 0.0, fail_first: int = 0, name: str = "stub"):
         self.name = name
-        self.timer = PredictionTimer()
         self.delay_s = delay_s
         self.fail_first = fail_first
         self.calls = 0
@@ -391,8 +390,9 @@ class TestPredictionService:
         with PredictionService(StubPredictor()) as service:
             service.predict_mrt_ms("S", 500)
             service.predict_mrt_ms("S", 500)
-            assert service.timer.evaluations == 2
-            assert service.timer.mean_delay_s > 0.0
+            metrics = service.export_metrics()
+            assert metrics["latency.count"] == 2
+            assert metrics["latency.mean_s"] > 0.0
 
     def test_invalidate_forces_recompute(self):
         with PredictionService(StubPredictor()) as service:
@@ -567,8 +567,9 @@ class TestResourceManagerOnService:
         with PredictionService(StubPredictor()) as service:
             for i in range(20):
                 service.predict_mrt_ms("AppServS", 400 + i % 700)
-            assert service.timer.evaluations == 20
-            assert service.timer.mean_delay_s > 0.0
+            metrics = service.export_metrics()
+            assert metrics["latency.count"] == 20
+            assert metrics["latency.mean_s"] > 0.0
 
 
 class TestLoadGenerator:

@@ -1,8 +1,8 @@
-"""Concurrency coverage for the serving layer and the shared timer.
+"""Concurrency coverage for the serving layer.
 
-These tests hammer the thread-shared state the service introduces: the
-(previously racy) :class:`PredictionTimer`, cache statistics under
-thrash, in-flight coalescing, and degradation under deadline misses.
+These tests hammer the thread-shared state the service introduces:
+metrics under contention, cache statistics under thrash, in-flight
+coalescing, and degradation under deadline misses.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.prediction.interface import PredictionTimer
 from repro.service import (
     AdmissionConfig,
     LatencyHistogram,
@@ -41,18 +40,6 @@ def _hammer(n_threads: int, per_thread: int, work) -> None:
         thread.start()
     for thread in threads:
         thread.join()
-
-
-class TestPredictionTimerThreadSafety:
-    def test_no_lost_updates_under_contention(self):
-        timer = PredictionTimer()
-        n_threads, per_thread = 8, 2000
-        _hammer(n_threads, per_thread, lambda t, i: timer.record(0.001))
-        # An unlocked read-modify-write loses updates here; the locked
-        # implementation must account for every single record call.
-        assert timer.evaluations == n_threads * per_thread
-        assert timer.total_time_s == pytest.approx(timer.evaluations * 0.001)
-        assert timer.mean_delay_s == pytest.approx(0.001)
 
 
 class TestCacheThrash:
@@ -127,7 +114,6 @@ class TestServiceUnderConcurrency:
             metrics = service.export_metrics()
             assert metrics["requests"] == total
             assert metrics["latency.count"] == total
-            assert service.timer.evaluations == total
             assert metrics["cache.hits"] + metrics["cache.misses"] == metrics["cache.requests"]
             # Only 50 distinct grid cells were requested: everything else
             # was a hit or a coalesced join.
@@ -135,8 +121,8 @@ class TestServiceUnderConcurrency:
             assert metrics["cache.hit_rate"] > 0.5
 
     def test_derived_totals_equal_one_histogram_of_every_request(self, monkeypatch):
-        """requests, latency.* and the timer all derive from the per-kind
-        histograms, and agree with one histogram fed every observation."""
+        """requests and latency.* derive from the per-kind histograms, and
+        agree with one histogram fed every observation."""
         observed: list[float] = []
         lock = threading.Lock()
         observe = LatencyHistogram.observe
@@ -169,12 +155,11 @@ class TestServiceUnderConcurrency:
         total = n_threads * per_thread
         snapshot = service.metrics_snapshot()
         metrics = service.export_metrics()
-        timer = service.timer
 
         assert sum(rejected) > 0
         per_kind = [metrics[f"latency.{kind}.count"] for kind in ("mrt", "throughput", "capacity")]
         assert metrics["requests"] == metrics["latency.count"] == total
-        assert timer.evaluations == sum(per_kind) == total
+        assert metrics["latency.count"] == sum(per_kind) == total
         reference = LatencyHistogram()
         for elapsed_s in observed:
             observe(reference, elapsed_s)
@@ -187,7 +172,7 @@ class TestServiceUnderConcurrency:
         )
         assert merged.percentiles() == expected.percentiles()
         assert merged.total_s == pytest.approx(expected.total_s)
-        assert timer.total_time_s == pytest.approx(expected.total_s)
+        assert metrics["latency.total_s"] == pytest.approx(expected.total_s)
 
     def test_fallback_on_timeout_returns_historical_answer_and_counts(self):
         primary = StubPredictor(delay_s=0.5, name="slow-lqn")

@@ -18,7 +18,6 @@ from repro.lqn.builder import (
     build_trade_model,
 )
 from repro.lqn.solver import LqnSolver, SolverOptions
-from repro.prediction.interface import PredictionTimer
 from repro.servers.catalogue import APP_SERV_S
 from repro.service.admission import AdmissionConfig
 from repro.service.service import PredictionService, ServiceConfig
@@ -125,7 +124,6 @@ class TestSolverInstrumentation:
 class _Stub:
     def __init__(self, *, fail=False):
         self.name = "stub"
-        self.timer = PredictionTimer()
         self.fail = fail
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):

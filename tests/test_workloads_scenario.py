@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.prediction.interface import PredictionTimer
 from repro.service.service import PredictionService, ServiceConfig
 from repro.util.clock import FakeClock
 from repro.util.errors import ValidationError
@@ -161,9 +160,6 @@ class _FixedPredictor:
     """Predictor stub: deterministic arithmetic, no model behind it."""
 
     name = "fixed"
-
-    def __init__(self):
-        self.timer = PredictionTimer()
 
     def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
         return 10.0 + 0.5 * n_clients + 100.0 * buy_fraction
