@@ -246,8 +246,12 @@ def solve_batch_with_loss(
 
     if not cap_indices:
         sol = _solve(None)
-        zeros = np.zeros((B, K))
-        return _attach(sol, zeros, zeros.copy(), np.zeros((B, len(open_names))))
+        sol.loss_probability = np.zeros((B, K))
+        sol.capacity_mean_in_system = np.zeros((B, K))
+        # The wrapper's whole cost on an unbounded sweep: keep it a small
+        # share of a solve (the loss-path overhead gate is 5%).
+        sol.open_loss = [dict.fromkeys(open_names, 0.0) for _ in range(B)]
+        return sol
 
     servers_at = {k: stations[k].servers for k in cap_indices}
     capacity_at = {k: stations[k].capacity for k in cap_indices}

@@ -179,10 +179,34 @@ class LqnModel:
 
     Build with :meth:`add_processor` / :meth:`add_task`, then call
     :meth:`validate` (done automatically by the solver).
+
+    Entry lookups go through a name index, ``entry name -> (owning task,
+    entry)``, that :meth:`add_task` fills as tasks arrive and
+    :meth:`validate` rebuilds from ``tasks``, so code that edits ``tasks``
+    directly must validate before looking entries up.  The index is
+    derived state: equality and ``repr`` ignore it.
     """
 
     processors: dict[str, Processor] = field(default_factory=dict)
     tasks: dict[str, Task] = field(default_factory=dict)
+    _entries: dict[str, tuple[Task, Entry]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the entry index from ``tasks``.
+
+        The first task (in ``tasks`` order) offering a name owns it, which
+        is what a scan over ``tasks`` would find.
+        """
+        index: dict[str, tuple[Task, Entry]] = {}
+        for task in self.tasks.values():
+            for entry in task.entries:
+                index.setdefault(entry.name, (task, entry))
+        self._entries = index
 
     def add_processor(self, processor: Processor) -> Processor:
         """Register a processor (names must be unique)."""
@@ -196,28 +220,26 @@ class LqnModel:
         if task.name in self.tasks:
             raise ModelError(f"duplicate task {task.name!r}")
         for entry in task.entries:
-            if self.entry_owner(entry.name) is not None:
+            if entry.name in self._entries:
                 raise ModelError(f"duplicate entry {entry.name!r}")
         self.tasks[task.name] = task
+        for entry in task.entries:
+            self._entries.setdefault(entry.name, (task, entry))
         return task
 
     # -- lookups -------------------------------------------------------------
 
     def entry_owner(self, entry_name: str) -> Task | None:
         """The task offering ``entry_name``, or None."""
-        for task in self.tasks.values():
-            for entry in task.entries:
-                if entry.name == entry_name:
-                    return task
-        return None
+        found = self._entries.get(entry_name)
+        return None if found is None else found[0]
 
     def entry(self, entry_name: str) -> Entry:
         """Look up an entry by name."""
-        for task in self.tasks.values():
-            for e in task.entries:
-                if e.name == entry_name:
-                    return e
-        raise ModelError(f"unknown entry {entry_name!r}")
+        found = self._entries.get(entry_name)
+        if found is None:
+            raise ModelError(f"unknown entry {entry_name!r}")
+        return found[1]
 
     def reference_tasks(self) -> list[Task]:
         """The model's client populations."""
@@ -231,6 +253,7 @@ class LqnModel:
 
     def validate(self) -> None:
         """Check structural consistency; raises :class:`ModelError`."""
+        self._reindex()
         if not self.tasks:
             raise ModelError("model has no tasks")
         if not self.reference_tasks():
@@ -262,25 +285,27 @@ class LqnModel:
     def _check_acyclic(self) -> None:
         """Reject call cycles between tasks (layering requires a DAG)."""
         colour: dict[str, int] = {}  # 0 unvisited / 1 in progress / 2 done
+        path: list[str] = []  # the tasks on the current call chain
 
-        def visit(task_name: str, stack: list[str]) -> None:
+        def visit(task_name: str) -> None:
             state = colour.get(task_name, 0)
             if state == 1:
-                cycle = " -> ".join(stack + [task_name])
+                cycle = " -> ".join(path + [task_name])
                 raise ModelError(f"call cycle between tasks: {cycle}")
             if state == 2:
                 return
             colour[task_name] = 1
-            task = self.tasks[task_name]
-            for entry in task.entries:
+            path.append(task_name)
+            for entry in self.tasks[task_name].entries:
                 for call in entry.calls:
                     owner = self.entry_owner(call.target_entry)
                     assert owner is not None  # validated before
-                    visit(owner.name, stack + [task_name])
+                    visit(owner.name)
+            path.pop()
             colour[task_name] = 2
 
         for name in self.tasks:
-            visit(name, [])
+            visit(name)
 
     def task_layers(self) -> list[list[Task]]:
         """Tasks grouped by call depth: layer 0 holds the reference tasks.

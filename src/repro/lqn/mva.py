@@ -37,6 +37,7 @@ is paid once per *sweep*, not once per network.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,6 +63,26 @@ __all__ = [
     "solve_bard_schweitzer",
     "solve_exact_single_class",
 ]
+
+
+def _require_finite_non_negative(values: np.ndarray, what: str) -> None:
+    """Raise :class:`ValidationError` unless every value is finite and >= 0.
+
+    One pass per bound and no temporaries: the minimum is NaN or negative,
+    or the maximum is NaN or infinite, exactly when some value is out of
+    range.
+    """
+    if values.size and not (
+        np.minimum.reduce(values, None) >= 0.0 and np.maximum.reduce(values, None) < np.inf
+    ):
+        raise ValidationError(f"{what} must be finite and >= 0")
+
+
+def _require_finite_non_negative_values(values: Sequence[float], what: str) -> None:
+    """The per-value form of :func:`_require_finite_non_negative`, for lists."""
+    for value in values:
+        if not 0.0 <= value < math.inf:
+            raise ValidationError(f"{what} must be finite and >= 0")
 
 
 class StationKind(enum.Enum):
@@ -133,11 +154,11 @@ class MvaInput:
         require(len(self.class_names) == len(self.populations), "class/population mismatch")
         require(len(self.class_names) == len(self.think_times_ms), "class/think mismatch")
         self.demands = np.asarray(self.demands, dtype=float)
-        require(
-            self.demands.shape == (len(self.class_names), len(self.stations)),
-            f"demands must be (C={len(self.class_names)}, K={len(self.stations)}), "
-            f"got {self.demands.shape}",
-        )
+        if self.demands.shape != (len(self.class_names), len(self.stations)):
+            raise ValidationError(
+                f"demands must be (C={len(self.class_names)}, K={len(self.stations)}), "
+                f"got {self.demands.shape}"
+            )
         if self.hidden_demands is None:
             self.hidden_demands = np.zeros_like(self.demands)
         else:
@@ -146,14 +167,10 @@ class MvaInput:
                 self.hidden_demands.shape == self.demands.shape,
                 "hidden_demands shape mismatch",
             )
-        if (self.demands < 0).any() or (self.hidden_demands < 0).any():
-            raise ValidationError("demands must be non-negative")
-        for n in self.populations:
-            if n < 0:
-                raise ValidationError("populations must be >= 0")
-        for z in self.think_times_ms:
-            if z < 0:
-                raise ValidationError("think times must be >= 0")
+        _require_finite_non_negative(self.demands, "demands")
+        _require_finite_non_negative(self.hidden_demands, "hidden demands")
+        _require_finite_non_negative_values(self.populations, "populations")
+        _require_finite_non_negative_values(self.think_times_ms, "think times")
 
         if self.open_class_names is None:
             self.open_class_names = []
@@ -168,16 +185,13 @@ class MvaInput:
             self.open_demands = np.zeros((O, len(self.stations)))
         else:
             self.open_demands = np.asarray(self.open_demands, dtype=float)
-        require(
-            self.open_demands.shape == (O, len(self.stations)),
-            f"open_demands must be (O={O}, K={len(self.stations)}), "
-            f"got {self.open_demands.shape}",
-        )
-        if (self.open_demands < 0).any():
-            raise ValidationError("open demands must be non-negative")
-        for rate in self.open_rates_per_ms:
-            if rate < 0:
-                raise ValidationError("open arrival rates must be >= 0")
+        if self.open_demands.shape != (O, len(self.stations)):
+            raise ValidationError(
+                f"open_demands must be (O={O}, K={len(self.stations)}), "
+                f"got {self.open_demands.shape}"
+            )
+        _require_finite_non_negative(self.open_demands, "open demands")
+        _require_finite_non_negative_values(self.open_rates_per_ms, "open arrival rates")
 
     def open_utilisation_per_station(self) -> np.ndarray:
         """ρ_open per station (per server), from the open classes alone."""
@@ -285,12 +299,10 @@ class MvaBatchInput:
                 self.hidden_demands.shape == self.demands.shape,
                 "hidden_demands shape mismatch",
             )
-        if (self.demands < 0).any() or (self.hidden_demands < 0).any():
-            raise ValidationError("demands must be non-negative")
-        if (self.populations < 0).any():
-            raise ValidationError("populations must be >= 0")
-        if (self.think_times_ms < 0).any():
-            raise ValidationError("think times must be >= 0")
+        _require_finite_non_negative(self.demands, "demands")
+        _require_finite_non_negative(self.hidden_demands, "hidden demands")
+        _require_finite_non_negative(self.populations, "populations")
+        _require_finite_non_negative(self.think_times_ms, "think times")
 
         if self.open_class_names is None:
             self.open_class_names = []
@@ -312,10 +324,8 @@ class MvaBatchInput:
             self.open_demands.shape == (B, O, K),
             f"open_demands must be (B={B}, O={O}, K={K}), got {self.open_demands.shape}",
         )
-        if (self.open_demands < 0).any():
-            raise ValidationError("open demands must be non-negative")
-        if (self.open_rates_per_ms < 0).any():
-            raise ValidationError("open arrival rates must be >= 0")
+        _require_finite_non_negative(self.open_demands, "open demands")
+        _require_finite_non_negative(self.open_rates_per_ms, "open arrival rates")
 
     @property
     def batch_size(self) -> int:
@@ -324,30 +334,42 @@ class MvaBatchInput:
 
     @classmethod
     def from_points(cls, points: Sequence[MvaInput]) -> "MvaBatchInput":
-        """Stack per-point inputs (identical structure required) into a batch."""
+        """Stack per-point inputs (identical structure required) into a batch.
+
+        Each point was validated when it was constructed and equal
+        structure signatures give every point the same array shapes, so
+        the stacked arrays are not validated again.
+        """
         require(len(points) > 0, "need at least one point to batch")
         first = points[0]
-        signature = first.structure_signature()
-        for b, point in enumerate(points[1:], start=1):
-            if point.structure_signature() != signature:
-                raise ValidationError(
-                    f"batch point {b} has a different network structure than "
-                    "point 0; group points by MvaInput.structure_signature() "
-                    "before stacking"
-                )
-        return cls(
-            stations=list(first.stations),
-            class_names=list(first.class_names),
-            populations=np.array([p.populations for p in points], dtype=float),
-            think_times_ms=np.array([p.think_times_ms for p in points], dtype=float),
-            demands=np.stack([p.demands for p in points]),
-            hidden_demands=np.stack([p.hidden_demands for p in points]),
-            open_class_names=list(first.open_class_names or ()),
-            open_rates_per_ms=np.array(
-                [p.open_rates_per_ms for p in points], dtype=float
-            ).reshape(len(points), len(first.open_class_names or ())),
-            open_demands=np.stack([p.open_demands for p in points]),
-        )
+        if len(points) > 1:
+            signature = first.structure_signature()
+            for b, point in enumerate(points[1:], start=1):
+                if point.structure_signature() != signature:
+                    raise ValidationError(
+                        f"batch point {b} has a different network structure than "
+                        "point 0; group points by MvaInput.structure_signature() "
+                        "before stacking"
+                    )
+        return cls._stacked(points)
+
+    @classmethod
+    def _stacked(cls, points: Sequence[MvaInput]) -> "MvaBatchInput":
+        """:meth:`from_points` for points already grouped by structure signature."""
+        first = points[0]
+        batch = object.__new__(cls)
+        batch.stations = list(first.stations)
+        batch.class_names = list(first.class_names)
+        batch.populations = np.array([p.populations for p in points], dtype=float)
+        batch.think_times_ms = np.array([p.think_times_ms for p in points], dtype=float)
+        batch.demands = np.array([p.demands for p in points])
+        batch.hidden_demands = np.array([p.hidden_demands for p in points])
+        batch.open_class_names = list(first.open_class_names or ())
+        batch.open_rates_per_ms = np.array(
+            [p.open_rates_per_ms for p in points], dtype=float
+        ).reshape(len(points), len(batch.open_class_names))
+        batch.open_demands = np.array([p.open_demands for p in points])
+        return batch
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "MvaBatchInput":
         """A new batch holding only the given points (structure shared).
@@ -447,7 +469,7 @@ def ladder_verdict(
     ``reported`` is the residual where the criterion held and 0.0 where the
     floor alone stopped the point; ``residual`` is the raw per-point value.
     """
-    residual = np.abs(response - prev_response).max(axis=1, initial=0.0)
+    residual = np.maximum.reduce(np.abs(response - prev_response), axis=1, initial=0.0)
     met = (rung > 0) & (residual < criterion_ms)
     return met | (rung == last), np.where(met, residual, 0.0), residual
 
@@ -488,6 +510,9 @@ def solve_batch(
     A one-rung ladder (a plain float) is the classic single-tolerance
     solve.  ``final_residual_ms`` reports each point's verdict residual.
 
+    One step is about twenty NumPy calls, each writing into a scratch
+    array allocated once per solve (DESIGN.md, "The fixed-point step").
+
     ``iteration_hook(iteration, delta, n_active)`` — when given — is
     called after every fixed-point step with the largest residual among
     the points that were still active and the count of such points;
@@ -498,11 +523,12 @@ def solve_batch(
     Leave them ``None`` on hot paths: the ``None`` checks are the only cost
     then.
     """
-    rungs = np.array([check_positive(rung, "tol") for rung in np.atleast_1d(tol)])
+    ladder = [check_positive(rung, "tol") for rung in np.atleast_1d(tol)]
     require(
-        rungs.size > 0 and bool((np.diff(rungs) <= 0.0).all()),
+        len(ladder) > 0 and all(b <= a for a, b in zip(ladder, ladder[1:])),
         "tol must be one tolerance or a non-empty ladder that does not loosen",
     )
+    rungs = np.array(ladder)
     check_non_negative(criterion_ms, "criterion_ms")
     check_positive_int(max_iterations, "max_iterations")
     require(0.0 < damping <= 1.0, "damping must be in (0, 1]")
@@ -549,9 +575,12 @@ def solve_batch(
         H = inp.hidden_demands
         open_work = 0.0
 
-    def open_responses(q_closed_total: np.ndarray) -> list[dict]:
-        """Open-class response times per point, given closed queues (B, K)."""
+    def open_responses(q_closed: np.ndarray) -> list[dict]:
+        """Open-class response times per point, given closed queues (B, C, K)."""
         per_point: list[dict] = [{} for _ in range(B)]
+        if not inp.open_class_names:
+            return per_point
+        q_closed_total = q_closed.sum(axis=1)
         for o, name in enumerate(inp.open_class_names):
             demand = inp.open_demands[:, o, :]  # (B, K)
             r = np.where(
@@ -601,7 +630,6 @@ def solve_batch(
         rung_tol = np.full(live.size, rungs[0])
         prev_response = np.zeros((live.size, C))
 
-        delay_row = is_delay[None, None, :]
         not_delay_row = (~is_delay)[None, :]
         counted_off = np.where(waiting_only[None, None, :], d, 0.0)
         # Hidden demand is rare (async calls / second phases): when a batch
@@ -609,34 +637,76 @@ def solve_batch(
         # be exactly zero and ``x + 0.0 == x`` for the non-negative residence
         # values here.
         has_hidden = bool(h.any())
+        # A DELAY station is an infinite server.  Giving it ``+inf`` servers
+        # lets one expression serve both kinds bit for bit: for a finite
+        # A >= 0, A/inf == 0.0, so the queue factor 1 + A/m is exactly 1.0
+        # and d * 1.0 == d, the DELAY residence.
+        servers_row = np.where(is_delay, np.inf, servers)
+        undamped = 1.0 - damping
+        # max(A, 0) only bites when a population is below one customer:
+        # otherwise Q_total >= Q_c >= Q_c/N_c holds in floating point (sums
+        # and quotients of non-negative values round monotonically), so A
+        # is already >= 0 — or NaN, which the max would pass through.
+        clamp = bool((safe_n < 1.0).any())
+        # Full-shape operands (same-shape ufunc calls skip NumPy's
+        # broadcasting set-up), (b, C, 1) views and scratch arrays: derived
+        # here and again only when the working set is compacted.
+        n_full = np.empty(Q.shape)
+        n_full[...] = safe_n[:, :, None]
+        servers_full = np.empty(Q.shape)
+        servers_full[...] = servers_row
+        n3, z3, idle3 = safe_n[:, :, None], z[:, :, None], ~act[:, :, None]
+        # An idle class's throughput is forced to 0.0; with every class
+        # populated that select has nothing to do.
+        some_idle = not act.all()
+        # Scratch arrays, written before they are read in every step;
+        # compaction keeps a prefix of each.
+        q_total = np.empty((live.size, 1, K))
+        A, R_vis, scratch, update = (np.empty(Q.shape) for _ in range(4))
+        R_total, X = np.empty((live.size, C, 1)), np.empty((live.size, C, 1))
+
+        # Local names for the loop's NumPy functions: at these array sizes a
+        # module-attribute lookup per call is a measurable share of a step.
+        # For the same reason the reductions take ``out`` and ``keepdims``
+        # positionally.
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+        absolute, count_nonzero = np.abs, np.count_nonzero
 
         errstate = np.errstate(divide="ignore", invalid="ignore")
         errstate.__enter__()
         try:
             iterations = 0
             for iterations in range(1, max_iterations + 1):
-                Q_total = Q.sum(axis=1)  # (b, K)
                 # Arrival theorem approximation: a class-c customer arriving
                 # sees the network without one of its own class (scaled by
                 # (Nc-1)/Nc).
-                A = Q_total[:, None, :] - Q / safe_n[:, :, None]
-                A = np.maximum(A, 0.0)
+                add_reduce(Q, 1, None, q_total, True)
+                divide(Q, n_full, out=A)
+                subtract(q_total, A, out=A)
+                if clamp:
+                    np.maximum(A, 0.0, out=A)
 
-                queue_factor = 1.0 + A / servers
-                R_vis = np.where(delay_row, d, d * queue_factor)
+                # Queue factor 1 + A/m, in place.
+                divide(A, servers_full, out=A)
+                add(A, 1.0, out=A)
+                multiply(d, A, out=R_vis)
 
-                R_counted = R_vis - counted_off
-                R_counted_total = R_counted.sum(axis=2)  # (b, C)
+                subtract(R_vis, counted_off, out=scratch)
+                add_reduce(scratch, 2, None, R_total, True)
 
-                X = np.where(act, n / (z + R_counted_total), 0.0)
+                add(z3, R_total, out=X)
+                divide(n3, X, out=X)
+                if some_idle:
+                    np.copyto(X, 0.0, where=idle3)
 
                 if has_hidden:
-                    R_hid = np.where(delay_row, h, h * queue_factor)
+                    R_hid = h * A
                     # A closed class's *visible* load is self-throttling, but
                     # its hidden (asynchronous / second-phase) work is not: if
                     # it alone exceeds a station's capacity there is no steady
                     # state — fail loudly instead of diverging.
-                    hidden_util = (X[:, :, None] * h).sum(axis=1) / servers
+                    hidden_util = add_reduce(X * h, axis=1) / servers
                     overloaded = not_delay_row & (hidden_util > 1.0 + 1e-9)
                     if overloaded.any():
                         bad = sorted(
@@ -649,27 +719,34 @@ def solve_batch(
                             f"asynchronous/second-phase load exceeds capacity "
                             f"at station(s) {bad}: the model has no steady state"
                         )
-                    Q_update = X[:, :, None] * (R_vis + R_hid)
+                    add(R_vis, R_hid, out=scratch)
+                    multiply(X, scratch, out=update)
                 else:
-                    Q_update = X[:, :, None] * R_vis
-                Q_new = damping * Q_update + (1.0 - damping) * Q
-                deltas = np.abs(Q_new - Q).max(axis=(1, 2))  # (b,)
-                Q = Q_new
+                    multiply(X, R_vis, out=update)
+                # Damped update, then the step's largest queue-length change.
+                multiply(update, damping, out=update)
+                multiply(Q, undamped, out=scratch)
+                add(update, scratch, out=update)
+                subtract(update, Q, out=scratch)
+                absolute(scratch, out=scratch)
+                deltas = max_reduce(scratch, (1, 2))  # (b,)
+                Q, update = update, Q
 
-                crossed = deltas < rung_tol  # (b,)
+                crossed = deltas < rung_tol
                 if iteration_hook is not None:
                     iteration_hook(iterations, float(deltas.max()), int(live.size))
-                if not crossed.any():
+                if not count_nonzero(crossed):
                     continue
                 # Rung crossings: the only per-step Python work.  A point
                 # that does not stop climbs a rung and re-tests this step.
-                frozen_now = np.zeros(live.size, dtype=bool)
-                pending = np.flatnonzero(crossed)
+                stopped: list[np.ndarray] = []
+                pending = crossed.nonzero()[0]
                 while pending.size:
                     at = rung[pending]
-                    response = R_counted_total[pending]
+                    response = R_total.take(pending, axis=0)[:, :, 0]
                     stop, reported, residual = ladder_verdict(
-                        at, last_rung, response, prev_response[pending], criterion_ms
+                        at, last_rung, response, prev_response.take(pending, axis=0),
+                        criterion_ms,
                     )
                     if stage_hook is not None:
                         for r in np.unique(at):
@@ -680,34 +757,56 @@ def solve_batch(
                                 float(residual[at == r].max()) if r else None,
                                 int(live.size),
                             )
-                    frozen_now[pending[stop]] = True
-                    residual_out[live[pending[stop]]] = reported[stop]
-                    climb = pending[~stop]
-                    prev_response[climb] = response[~stop]
-                    rung[climb] += 1
-                    rung_tol[climb] = rungs[rung[climb]]
-                    pending = climb[deltas[climb] < rung_tol[climb]]
-                if not frozen_now.any():
+                    n_stop = count_nonzero(stop)
+                    if n_stop:
+                        done = pending[stop]
+                        residual_out[live[done]] = reported[stop]
+                        stopped.append(done)
+                        if n_stop == pending.size:
+                            break
+                        climbs = ~stop
+                        pending, at, response = pending[climbs], at[climbs], response[climbs]
+                    at += 1
+                    rung[pending] = at
+                    prev_response[pending] = response
+                    climb_tol = rungs[at]
+                    rung_tol[pending] = climb_tol
+                    pending = pending[deltas[pending] < climb_tol]
+                if not stopped:
                     continue
-                done = live[frozen_now]
-                Q_out[done] = Q[frozen_now]
-                X_out[done] = X[frozen_now]
-                R_total_out[done] = R_counted_total[frozen_now]
-                R_vis_out[done] = R_vis[frozen_now]
+                frozen = stopped[0] if len(stopped) == 1 else np.concatenate(stopped)
+                done = live[frozen]
+                Q_out[done] = Q.take(frozen, axis=0)
+                X_out[done] = X.take(frozen, axis=0)[:, :, 0]
+                R_total_out[done] = R_total.take(frozen, axis=0)[:, :, 0]
+                R_vis_out[done] = R_vis.take(frozen, axis=0)
                 iterations_out[done] = iterations
-                keep = ~frozen_now
-                live = live[keep]
-                if live.size == 0:
+                if frozen.size == live.size:
                     break
                 # Compact the working set: frozen points must leave it
                 # (their iterates stop here — that is what makes a point's
                 # trajectory bit-identical to a solo solve), and the
                 # stragglers stop paying batch-width cost for them.
-                n, z, d, h = n[keep], z[keep], d[keep], h[keep]
-                act, safe_n, Q = act[keep], safe_n[keep], Q[keep]
-                counted_off = counted_off[keep]
-                rung, rung_tol = rung[keep], rung_tol[keep]
-                prev_response = prev_response[keep]
+                keep = np.ones(live.size, dtype=bool)
+                keep[frozen] = False
+                kept = keep.nonzero()[0]
+                live, m = live[kept], kept.size
+                Q, d = Q.take(kept, axis=0), d.take(kept, axis=0)
+                counted_off = counted_off.take(kept, axis=0)
+                if has_hidden:
+                    h = h.take(kept, axis=0)
+                n_full, n3, z3 = (a.take(kept, axis=0) for a in (n_full, n3, z3))
+                if some_idle:
+                    idle3 = idle3.take(kept, axis=0)
+                    some_idle = bool(idle3.any())
+                rung, rung_tol = rung[kept], rung_tol[kept]
+                prev_response = prev_response.take(kept, axis=0)
+                # Every row of servers_full is the same, and the scratch
+                # arrays' contents are dead: a prefix of each will do.
+                servers_full, q_total, A, R_vis = (
+                    servers_full[:m], q_total[:m], A[:m], R_vis[:m]
+                )
+                scratch, update, R_total, X = scratch[:m], update[:m], R_total[:m], X[:m]
             else:
                 raise ConvergenceError(
                     "Bard-Schweitzer AMVA did not converge "
@@ -737,7 +836,7 @@ def solve_batch(
         utilisation=util,
         iterations=iterations_out,
         final_residual_ms=residual_out,
-        open_response_ms=open_responses(Q_out.sum(axis=1)),
+        open_response_ms=open_responses(Q_out),
     )
 
 

@@ -152,7 +152,7 @@ class LqnSolver:
             span.set_attribute("stations", len(station_names))
             span.set_attribute("iterations", solution[0].iterations)
             return self._package(
-                model, classes, vis, hid, inp, solution, station_names, task_station_index, elapsed
+                model, classes, vis, hid, inp, solution, task_station_index, elapsed
             )
 
     def solve_sweep(self, models: list[LqnModel]) -> list[LqnSolution]:
@@ -188,7 +188,7 @@ class LqnSolver:
                 with TRACER.span("lqn.iterate") as group_span:
                     group_span.set_attribute("points", len(indices))
                     solved = self._iterate_batch(
-                        MvaBatchInput.from_points([prepared[i][3] for i in indices])
+                        MvaBatchInput._stacked([prepared[i][3] for i in indices])
                     )
                 for i, result in zip(indices, solved):
                     results[i] = result
@@ -202,9 +202,9 @@ class LqnSolver:
             return [
                 self._package(
                     models[i], classes, vis, hid, inp, results[i],
-                    station_names, task_station_index, per_point_s,
+                    task_station_index, per_point_s,
                 )
-                for i, (classes, vis, hid, inp, station_names, task_station_index)
+                for i, (classes, vis, hid, inp, _, task_station_index)
                 in enumerate(prepared)
             ]
 
@@ -265,22 +265,30 @@ class LqnSolver:
 
     # -- network construction ---------------------------------------------------
 
-    def _holding_time_ms(self, model: LqnModel, entry_name: str) -> float:
+    def _holding_time_ms(
+        self, model: LqnModel, entry_name: str, memo: dict[str, float]
+    ) -> float:
         """No-contention holding time of one entry invocation (ms):
         raw scaled demand plus downstream synchronous holding times.
 
         Asynchronous and forwarding calls do not extend the holding time:
         the thread is released (forwarded work continues on the *client's*
         response path but on the *callee's* thread, not the caller's).
+        ``memo`` keeps each entry's value for the rest of one network
+        build, so a callee shared by several callers is walked once.
         """
-        entry = model.entry(entry_name)
-        owner = model.entry_owner(entry_name)
-        assert owner is not None
-        proc = model.processors[owner.processor]
-        total = entry.demand_ms / proc.speed
-        for call in entry.calls:
-            if call.kind is CallKind.SYNCHRONOUS:
-                total += call.mean_calls * self._holding_time_ms(model, call.target_entry)
+        total = memo.get(entry_name)
+        if total is None:
+            owner = model.entry_owner(entry_name)
+            assert owner is not None
+            entry = model.entry(entry_name)
+            total = entry.demand_ms / model.processors[owner.processor].speed
+            for call in entry.calls:
+                if call.kind is CallKind.SYNCHRONOUS:
+                    total += call.mean_calls * self._holding_time_ms(
+                        model, call.target_entry, memo
+                    )
+            memo[entry_name] = total
         return total
 
     def _build_network(
@@ -330,62 +338,72 @@ class LqnSolver:
             station_names.append(f"task:{task.name}")
 
         C, K = len(class_names), len(stations)
-        demands = np.zeros((C, K))
-        hidden = np.zeros((C, K))
-        holding = {
-            entry.name: self._holding_time_ms(model, entry.name)
-            + entry.phase2_demand_ms / model.processors[task.processor].speed
+        # Accumulate in Python floats: the same IEEE operations, in the
+        # same order, as element-wise updates of NumPy arrays, without a
+        # NumPy scalar round trip per term.
+        demands = [[0.0] * K for _ in range(C)]
+        hidden = [[0.0] * K for _ in range(C)]
+        # (station, entry) for every entry, in task order, with its
+        # processor's speed.
+        processor_terms = [
+            (proc_index[task.processor], entry, model.processors[task.processor].speed)
+            for task in model.tasks.values()
+            for entry in task.entries
+        ]
+        memo: dict[str, float] = {}
+        surrogate_terms = [
+            (
+                task_station_index[task.name],
+                entry.name,
+                self._holding_time_ms(model, entry.name, memo)
+                + entry.phase2_demand_ms / model.processors[task.processor].speed,
+            )
             for task in server_tasks
             for entry in task.entries
-        }
+        ]
 
         for c, cname in enumerate(class_names):
-            for task in model.tasks.values():
-                proc = model.processors[task.processor]
-                k = proc_index[proc.name]
-                for entry in task.entries:
-                    v = vis.get((cname, entry.name), 0.0)
-                    h = hid.get((cname, entry.name), 0.0)
-                    demands[c, k] += v * entry.demand_ms / proc.speed
-                    hidden[c, k] += h * entry.demand_ms / proc.speed
+            row, hidden_row = demands[c], hidden[c]
+            # An entry the class never visits adds exactly 0.0: skip it.
+            for k, entry, speed in processor_terms:
+                v = vis.get((cname, entry.name), 0.0)
+                h = hid.get((cname, entry.name), 0.0)
+                if v or h:
+                    row[k] += v * entry.demand_ms / speed
+                    hidden_row[k] += h * entry.demand_ms / speed
                     # Second-phase work loads the processor off the response path.
-                    hidden[c, k] += (v + h) * entry.phase2_demand_ms / proc.speed
+                    hidden_row[k] += (v + h) * entry.phase2_demand_ms / speed
 
-            for task in server_tasks:
-                k = task_station_index[task.name]
-                for entry in task.entries:
-                    v = vis.get((cname, entry.name), 0.0)
-                    h = hid.get((cname, entry.name), 0.0)
-                    demands[c, k] += v * holding[entry.name]
-                    hidden[c, k] += h * holding[entry.name]
+            for k, name, holding in surrogate_terms:
+                v = vis.get((cname, name), 0.0)
+                h = hid.get((cname, name), 0.0)
+                if v or h:
+                    row[k] += v * holding
+                    hidden_row[k] += h * holding
 
         # Open workload sources load the processor stations per request;
         # thread-pool (surrogate) waiting is not modelled for open traffic.
         open_names = [t.name for t in opened]
         open_rates = [t.open_arrival_rate_per_s / 1000.0 for t in opened]
-        open_demands = np.zeros((len(opened), K))
+        open_demands = [[0.0] * K for _ in opened]
         for o, task in enumerate(opened):
-            for server_task in model.tasks.values():
-                proc = model.processors[server_task.processor]
-                k = proc_index[proc.name]
-                for entry in server_task.entries:
-                    visits = vis.get((task.name, entry.name), 0.0) + hid.get(
-                        (task.name, entry.name), 0.0
-                    )
-                    open_demands[o, k] += (
-                        visits * (entry.demand_ms + entry.phase2_demand_ms) / proc.speed
-                    )
+            row = open_demands[o]
+            for k, entry, speed in processor_terms:
+                visits = vis.get((task.name, entry.name), 0.0) + hid.get(
+                    (task.name, entry.name), 0.0
+                )
+                row[k] += visits * (entry.demand_ms + entry.phase2_demand_ms) / speed
 
         inp = MvaInput(
             stations=stations,
             class_names=class_names,
             populations=populations,
             think_times_ms=think_times,
-            demands=demands,
-            hidden_demands=hidden,
+            demands=np.array(demands).reshape(C, K),
+            hidden_demands=np.array(hidden).reshape(C, K),
             open_class_names=open_names,
             open_rates_per_ms=open_rates,
-            open_demands=open_demands,
+            open_demands=np.array(open_demands).reshape(len(opened), K),
         )
         return inp, station_names, task_station_index
 
@@ -498,21 +516,26 @@ class LqnSolver:
         hid: dict[tuple[str, str], float],
         inp: MvaInput,
         solution_and_residual,
-        station_names: list[str],
         task_station_index: dict[str, int],
         elapsed_s: float,
     ) -> LqnSolution:
         solution, residual = solution_and_residual
+        # _build_network made one station per processor first, in
+        # ``model.processors`` order: station k is the k-th processor.
+        processors = list(model.processors.items())
         response: dict[str, float] = {}
         throughput: dict[str, float] = {}
         residence: dict[tuple[str, str], float] = {}
         closed = [t for t in classes if not t.is_open_reference]
+        cycle_response = solution.cycle_response_ms.tolist()
+        cycle_throughput = solution.throughput_per_ms.tolist()
+        residence_rows = solution.residence_ms.tolist()
         for c, task in enumerate(closed):
-            response[task.name] = float(solution.cycle_response_ms[c])
-            throughput[task.name] = float(solution.throughput_per_ms[c] * 1000.0)
-            for proc_name in model.processors:
-                k = station_names.index(f"proc:{proc_name}")
-                residence[(task.name, proc_name)] = float(solution.residence_ms[c, k])
+            response[task.name] = cycle_response[c]
+            throughput[task.name] = cycle_throughput[c] * 1000.0
+            row = residence_rows[c]
+            for k, (proc_name, _) in enumerate(processors):
+                residence[(task.name, proc_name)] = row[k]
         loss_probability: dict[str, float] = {t.name: 0.0 for t in closed}
         for task in classes:
             if task.is_open_reference:
@@ -525,9 +548,9 @@ class LqnSolver:
                 loss_probability[task.name] = loss
                 throughput[task.name] = task.open_arrival_rate_per_s * (1.0 - loss)
 
+        utilisation = solution.utilisation.tolist()
         processor_util = {
-            proc_name: float(solution.utilisation[station_names.index(f"proc:{proc_name}")])
-            for proc_name in model.processors
+            proc_name: utilisation[k] for k, (proc_name, _) in enumerate(processors)
         }
         task_concurrency = {
             task_name: float(solution.queue_lengths[:, k].sum())
@@ -535,12 +558,12 @@ class LqnSolver:
         }
         station_loss = {
             proc_name: (
-                float(solution.loss_probability[station_names.index(f"proc:{proc_name}")])
+                float(solution.loss_probability[k])
                 if solution.loss_probability is not None
                 else 0.0
             )
-            for proc_name in model.processors
-            if model.processors[proc_name].queue_capacity is not None
+            for k, (proc_name, proc) in enumerate(processors)
+            if proc.queue_capacity is not None
         }
         return LqnSolution(
             response_ms=response,

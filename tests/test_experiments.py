@@ -234,6 +234,40 @@ class TestDelay:
         assert data["startup_delay_s"] > data["hybrid_delay_s"] * 10
 
 
+class TestDelayTiming:
+    """``_time_predictions``: passes interleaved across methods, fastest kept."""
+
+    def test_each_method_reports_its_fastest_pass(self):
+        from repro.experiments.delay import _time_predictions
+
+        calls_seen: list[tuple[str, int]] = []
+        # A fake clock read at the start and end of every pass: the passes
+        # (a, b, a, b, a, b) last 6, 2, 3, 4, 5 and 1 s.
+        ticks = iter([0.0, 6.0, 6.0, 8.0, 8.0, 11.0, 11.0, 15.0, 15.0, 20.0, 20.0, 21.0])
+
+        def stub(name):
+            return lambda n: calls_seen.append((name, n))
+
+        delays = _time_predictions(
+            {"a": (stub("a"), 2), "b": (stub("b"), 4)}, passes=3, timer=lambda: next(ticks)
+        )
+        # a's passes took 6, 3 and 5 s for 2 calls; b's 2, 4 and 1 s for 4.
+        assert delays == {"a": 3.0 / 2, "b": 1.0 / 4}
+        order = [name for name, _ in calls_seen]
+        assert order == (["a"] * 2 + ["b"] * 4) * 3
+        # Every pass asks for the same spread of client counts.
+        assert [n for name, n in calls_seen if name == "b"][:4] == [400, 401, 402, 403]
+
+    def test_a_single_slow_pass_does_not_move_the_figure(self):
+        from repro.experiments.delay import _time_predictions
+
+        ticks = iter([0.0, 9.0, 9.0, 10.0, 10.0, 11.0])  # 9 s, then 1 s, then 1 s
+        delays = _time_predictions(
+            {"m": (lambda n: None, 1)}, passes=3, timer=lambda: next(ticks)
+        )
+        assert delays == {"m": 1.0}
+
+
 class TestRecalibration:
     def test_established_accuracy_good_at_50_samples(self, results):
         data = results["recalibration"].data

@@ -212,3 +212,61 @@ class TestLayers:
         model = two_tier_model()
         assert [t.name for t in model.reference_tasks()] == ["clients"]
         assert sorted(t.name for t in model.server_tasks()) == ["app", "db"]
+
+
+class TestEntryIndex:
+    """Entry lookups go through a name index that add_task fills."""
+
+    def test_duplicate_entry_across_tasks_still_raises(self):
+        model = two_tier_model()
+        with pytest.raises(ModelError, match="duplicate entry 'db_read'"):
+            model.add_task(
+                Task(name="cache", processor="db_cpu", entries=(Entry("db_read", 0.5),))
+            )
+        # The rejected task left neither the task table nor the index.
+        assert "cache" not in model.tasks
+        assert model.entry_owner("db_read").name == "db"
+
+    def test_unknown_entry_still_raises(self):
+        model = two_tier_model()
+        with pytest.raises(ModelError, match="unknown entry 'nowhere'"):
+            model.entry("nowhere")
+        assert model.entry_owner("nowhere") is None
+
+    def test_every_entry_is_found_through_the_index(self):
+        model = two_tier_model()
+        for task in model.tasks.values():
+            for entry in task.entries:
+                assert model.entry(entry.name) is entry
+                assert model.entry_owner(entry.name) is task
+
+    def test_equality_and_repr_ignore_the_index(self):
+        built = two_tier_model()
+        # Same tables, index not filled by add_task: construction from the
+        # dicts derives it, and neither equality nor repr looks at it.
+        direct = LqnModel(processors=dict(built.processors), tasks=dict(built.tasks))
+        assert direct == built
+        assert repr(direct) == repr(built)
+        assert "_entries" not in repr(built)
+        direct._entries.clear()
+        assert direct == built
+        assert repr(direct) == repr(built)
+
+    def test_constructor_tables_are_indexed(self):
+        built = two_tier_model()
+        direct = LqnModel(processors=dict(built.processors), tasks=dict(built.tasks))
+        assert direct.entry_owner("serve").name == "app"
+        direct.validate()
+
+    def test_validate_reindexes_tasks_edited_in_place(self):
+        model = two_tier_model()
+        replacement = Task(
+            name="db",
+            processor="db_cpu",
+            entries=(Entry(name="db_write", demand_ms=2.0),),
+            multiplicity=20,
+        )
+        model.tasks["db"] = replacement
+        with pytest.raises(ModelError, match="unknown entry 'db_read'"):
+            model.validate()
+        assert model.entry("db_write") is replacement.entries[0]

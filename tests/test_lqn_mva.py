@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lqn.mva import (
+    MvaBatchInput,
     MvaInput,
     Station,
     StationKind,
@@ -275,3 +276,101 @@ class TestBardSchweitzer:
         r1 = solve_bard_schweitzer(single_class_input([5.0], n1, 100.0)).cycle_response_ms[0]
         r2 = solve_bard_schweitzer(single_class_input([5.0], n2, 100.0)).cycle_response_ms[0]
         assert r2 >= r1 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input is rejected up front.  Before these checks a NaN or inf
+# demand ran the fixed point to its 100,000-step limit and raised
+# ConvergenceError, and an inf think time silently returned X = 0.
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _mixed_kwargs(**override):
+    """A one-class, one-open-class network on two stations; ``override``
+    replaces any field."""
+    kwargs = dict(
+        stations=[Station("cpu"), Station("disk")],
+        class_names=["c"],
+        populations=[4],
+        think_times_ms=[10.0],
+        demands=np.array([[2.0, 1.0]]),
+        hidden_demands=np.array([[0.5, 0.0]]),
+        open_class_names=["o"],
+        open_rates_per_ms=[0.01],
+        open_demands=np.array([[1.0, 1.0]]),
+    )
+    kwargs.update(override)
+    return kwargs
+
+
+class TestNonFiniteInputRejected:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_population(self, bad):
+        with pytest.raises(ValidationError, match="populations"):
+            MvaInput(**_mixed_kwargs(populations=[bad]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_think_time(self, bad):
+        with pytest.raises(ValidationError, match="think times"):
+            MvaInput(**_mixed_kwargs(think_times_ms=[bad]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_demand(self, bad):
+        with pytest.raises(ValidationError, match="demands"):
+            MvaInput(**_mixed_kwargs(demands=np.array([[2.0, bad]])))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_hidden_demand(self, bad):
+        with pytest.raises(ValidationError, match="hidden demands"):
+            MvaInput(**_mixed_kwargs(hidden_demands=np.array([[bad, 0.0]])))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_open_rate(self, bad):
+        with pytest.raises(ValidationError, match="open arrival rates"):
+            MvaInput(**_mixed_kwargs(open_rates_per_ms=[bad]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_open_demand(self, bad):
+        with pytest.raises(ValidationError, match="open demands"):
+            MvaInput(**_mixed_kwargs(open_demands=np.array([[1.0, bad]])))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("populations", "populations"),
+            ("think_times_ms", "think times"),
+            ("demands", "demands"),
+            ("hidden_demands", "hidden demands"),
+            ("open_rates_per_ms", "open arrival rates"),
+            ("open_demands", "open demands"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_batch_input_field(self, field, message, bad):
+        """The stacked (B, ...) arrays of a directly built batch are checked too."""
+        arrays = {
+            "populations": np.array([[4.0]]),
+            "think_times_ms": np.array([[10.0]]),
+            "demands": np.array([[[2.0, 1.0]]]),
+            "hidden_demands": np.array([[[0.5, 0.0]]]),
+            "open_rates_per_ms": np.array([[0.01]]),
+            "open_demands": np.array([[[1.0, 1.0]]]),
+        }
+        structure = dict(
+            stations=[Station("cpu"), Station("disk")], class_names=["c"], open_class_names=["o"]
+        )
+        MvaBatchInput(**structure, **arrays)  # the finite batch is valid
+        arrays[field].flat[0] = bad
+        with pytest.raises(ValidationError, match=message):
+            MvaBatchInput(**structure, **arrays)
+
+    def test_negative_values_still_rejected(self):
+        with pytest.raises(ValidationError, match="populations"):
+            MvaInput(**_mixed_kwargs(populations=[-1]))
+        with pytest.raises(ValidationError, match="open demands"):
+            MvaInput(**_mixed_kwargs(open_demands=np.array([[-1.0, 1.0]])))
+
+    def test_nan_demand_fails_fast_in_the_single_network_api(self):
+        with pytest.raises(ValidationError, match="demands"):
+            solve_bard_schweitzer(single_class_input([1.0, float("nan")], 3, 10.0))

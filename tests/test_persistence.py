@@ -51,6 +51,14 @@ class TestLqnSerialization:
         for name, task in model.tasks.items():
             assert rebuilt.tasks[name] == task
 
+    def test_round_trip_gives_an_equal_model(self, model):
+        rebuilt = model_from_dict(model_to_dict(model))
+        assert rebuilt == model
+        for task in model.tasks.values():
+            for entry in task.entries:
+                assert rebuilt.entry(entry.name) == entry
+                assert rebuilt.entry_owner(entry.name) == task
+
     def test_round_trip_preserves_solution(self, model):
         rebuilt = model_from_dict(model_to_dict(model))
         solver = LqnSolver()
