@@ -8,8 +8,8 @@ Measures, on this machine:
 * the hybrid method's one-off start-up delay (the paper's 11 s analogue)
   and its per-prediction delay afterwards;
 * the cost of a *capacity* query (max clients under an SLA goal): closed
-  form for historical/hybrid versus a multi-solve search for the layered
-  method (section 8.2).
+  form for historical/hybrid versus a search for the layered method
+  (section 8.2), which solves its probes in a few batched sweeps.
 
 Every per-prediction delay and every solve time in the criterion table is
 the fastest of :data:`PASSES` timing passes, interleaved across the methods
@@ -28,6 +28,7 @@ from repro.hybrid.model import AdvancedHybridModel
 from repro.lqn.builder import build_trade_model
 from repro.lqn.solver import LqnSolver, SolverOptions
 from repro.servers.catalogue import ALL_APP_SERVERS, APP_SERV_F, APP_SERV_S
+from repro.trace import TRACER, RingBufferSink, summarize_events
 from repro.util.tables import format_kv, format_table
 from repro.workload.trade import typical_workload
 
@@ -115,9 +116,20 @@ def run(fast: bool = False) -> ExperimentResult:
     hist_before = historical.model.predictions_made
     historical.max_clients(APP_SERV_S.name, 500.0)
     hist_capacity_predictions = historical.model.predictions_made - hist_before
+    # The layered search solves its probes in rounds, one sweep each: the
+    # trace counts the sweeps, the solver the points solved.
     lqn_before = lqn.solver.solve_count
-    lqn.max_clients(APP_SERV_S.name, 500.0)
+    sink = RingBufferSink()
+    TRACER.enable(sink)
+    try:
+        lqn.max_clients(APP_SERV_S.name, 500.0)
+    finally:
+        # detach, not disable: under ``runner --trace`` the runner's own
+        # sink is also attached and must keep recording.
+        TRACER.detach(sink)
     lqn_capacity_solves = lqn.solver.solve_count - lqn_before
+    sweeps = summarize_events(sink.events()).spans.get("lqn.sweep")
+    lqn_capacity_sweeps = sweeps.count if sweeps is not None else 0
 
     summary = format_kv(
         {
@@ -128,7 +140,8 @@ def run(fast: bool = False) -> ExperimentResult:
             "hybrid start-up delay (s)": startup,
             "hybrid start-up LQN solves": rebuilt.report.lqn_solves,
             "capacity query, historical (model evaluations)": hist_capacity_predictions,
-            "capacity query, layered (full solves)": lqn_capacity_solves,
+            "capacity query, layered (points solved)": lqn_capacity_solves,
+            "capacity query, layered (sweeps)": lqn_capacity_sweeps,
             "paper's anchors": "LQNS up to 3 s/solve; hybrid start-up 11 s; historical ~instant",
         },
         title="Section 8.5: prediction-evaluation delays",
@@ -145,5 +158,6 @@ def run(fast: bool = False) -> ExperimentResult:
             "startup_delay_s": startup,
             "criterion_rows": rows,
             "lqn_capacity_solves": lqn_capacity_solves,
+            "lqn_capacity_sweeps": lqn_capacity_sweeps,
         },
     )

@@ -157,6 +157,13 @@ class Task:
         check_non_negative(self.think_time_ms, "think_time_ms")
         check_non_negative(self.open_arrival_rate_per_s, "open_arrival_rate_per_s")
         require(len(self.entries) > 0, f"task {self.name!r} must offer at least one entry")
+        seen: set[str] = set()
+        for entry in self.entries:
+            if entry.name in seen:
+                # The solver looks entries up by name, so the second one
+                # would be solved with the first one's visits.
+                raise ModelError(f"task {self.name!r} lists entry {entry.name!r} twice")
+            seen.add(entry.name)
         if not self.is_reference:
             require(
                 self.think_time_ms <= 0.0,

@@ -85,6 +85,25 @@ def _require_finite_non_negative_values(values: Sequence[float], what: str) -> N
             raise ValidationError(f"{what} must be finite and >= 0")
 
 
+def _require_cycle_time(
+    populations: np.ndarray, think_times_ms: np.ndarray, demands: np.ndarray,
+    class_names: Sequence[str],
+) -> None:
+    """Raise :class:`ValidationError` for a closed class whose cycle takes no time.
+
+    A class with clients, zero think time and zero demand at every station
+    has throughput N/0: the fixed point has no finite iterate, so it would
+    spin to its iteration limit.  ``demands`` carries the station axis last.
+    """
+    instant = (populations > 0.0) & (think_times_ms <= 0.0) & ~demands.any(axis=-1)
+    if instant.any():
+        name = class_names[int(instant.nonzero()[-1][0])]
+        raise ValidationError(
+            f"closed class {name!r} has clients but zero think time and zero "
+            "demand: its throughput N/0 is unbounded"
+        )
+
+
 class StationKind(enum.Enum):
     """Queueing behaviour of one MVA station."""
 
@@ -171,6 +190,12 @@ class MvaInput:
         _require_finite_non_negative(self.hidden_demands, "hidden demands")
         _require_finite_non_negative_values(self.populations, "populations")
         _require_finite_non_negative_values(self.think_times_ms, "think times")
+        _require_cycle_time(
+            np.asarray(self.populations, dtype=float),
+            np.asarray(self.think_times_ms, dtype=float),
+            self.demands,
+            self.class_names,
+        )
 
         if self.open_class_names is None:
             self.open_class_names = []
@@ -303,6 +328,9 @@ class MvaBatchInput:
         _require_finite_non_negative(self.hidden_demands, "hidden demands")
         _require_finite_non_negative(self.populations, "populations")
         _require_finite_non_negative(self.think_times_ms, "think times")
+        _require_cycle_time(
+            self.populations, self.think_times_ms, self.demands, self.class_names
+        )
 
         if self.open_class_names is None:
             self.open_class_names = []

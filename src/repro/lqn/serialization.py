@@ -36,6 +36,7 @@ def model_to_dict(model: LqnModel) -> dict[str, Any]:
                 "scheduling": p.scheduling.value,
                 "multiplicity": p.multiplicity,
                 "speed": p.speed,
+                "queue_capacity": p.queue_capacity,
             }
             for p in model.processors.values()
         ],
@@ -80,12 +81,14 @@ def model_from_dict(data: dict[str, Any]) -> LqnModel:
         )
     model = LqnModel()
     for p in data.get("processors", []):
+        queue_capacity = p.get("queue_capacity")
         model.add_processor(
             Processor(
                 name=p["name"],
                 scheduling=Scheduling(p.get("scheduling", "ps")),
                 multiplicity=int(p.get("multiplicity", 1)),
                 speed=float(p.get("speed", 1.0)),
+                queue_capacity=None if queue_capacity is None else int(queue_capacity),
             )
         )
     for t in data.get("tasks", []):

@@ -14,6 +14,12 @@ closed-form (microseconds), layered predictions solve a network each time
 (and capacity queries *search*, multiplying the cost), and hybrid
 predictions are historical-fast after the start-up delay the hybrid build
 records in ``model.report.startup_delay_s``.
+
+The layered capacity search makes the serial doubling-then-bisection
+decisions but solves its probes in rounds, one batched
+:meth:`~repro.lqn.solver.LqnSolver.solve_sweep` per round: ~28 points in
+~3.3 sweeps per query instead of ~22 serial solves, with the serial
+search's answer (:meth:`LqnPredictor.max_clients`).
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ __all__ = [
 # The layered capacity search tests client counts up to this many; a goal
 # still met here has no bracketed answer.
 _CAPACITY_SEARCH_BOUND = 1 << 20  # a power of two, so the doubling lands on it
+# The powers of two one doubling round of the search solves: the first
+# round covers 1 … 2**12, which brackets every benchmark capacity cell.
+_DOUBLING_ROUND = 13
 
 
 @runtime_checkable
@@ -167,46 +176,131 @@ class LqnPredictor:
         return self._solve(server, n_clients, buy_fraction).total_throughput_req_per_s()
 
     def max_clients(self, server: str, rt_goal_ms: float, *, buy_fraction: float = 0.0) -> int:
-        """Capacity by *search* over client counts — each probe is a solve.
+        """Capacity by *search* over client counts, solved in rounds of sweeps.
 
         The paper: "in the current layered queuing solver the number of
         clients can only be an input so it is necessary to search for a
         number of clients that results in response times just below SLA
-        compliance" (section 8.2).  The search tests client counts up to
+        compliance" (section 8.2).  The search doubles the client count
+        from 1 until the goal (on the workload-mean response across
+        classes) is missed, then bisects between the last count that met
+        it and the first that did not.  It tests client counts up to
         ``2**20``; a goal still met there raises
         :class:`~repro.util.errors.ValidationError` rather than return an
         unbracketed capacity.
+
+        The decisions are the serial search's, but the probes are solved
+        in rounds, one :meth:`LqnSolver.solve_sweep` per round, since a
+        sweep costs little more than one solve.  The first round solves
+        the powers ``1 … 2**12``, later doubling rounds the next powers up
+        to the bound.  A bisection round estimates where the goal is
+        crossed from the nearest solved points around it and solves the
+        probes the bisection would make if it were crossed there
+        (:func:`_bisection_round`).  The walk then takes the serial
+        path, deciding each probe by its solved response, until it reaches
+        a count no round has solved, and starts the next round there.  Every
+        probe on the serial path is solved, bit-identical to a lone
+        :meth:`LqnSolver.solve`, and decided by the same comparison, so
+        the answer is the serial search's for any response curve, monotone
+        or not; a misjudged crossing costs a round, not an answer.
+
+        Probes off the serial path are solved too: ``lqn.solve`` fault
+        firings and ``solver.solve_count`` count every solved point, and
+        an error from any probe of a round, speculative ones included,
+        propagates.
         """
         check_positive(rt_goal_ms, "rt_goal_ms")
-        arch = self._arch(server)
+        response_ms: dict[int, float] = {}  # client count -> mean response (ms)
 
-        def build(n: int):
-            return build_trade_model(
-                arch, mixed_workload(n, buy_fraction), self.parameters
-            )
+        def solve(counts: list[int]) -> None:
+            solutions = self.solve_points([(server, n, buy_fraction) for n in counts])
+            for n, solution in zip(counts, solutions):
+                response_ms[n] = solution.mean_response_ms()
 
-        # The goal is on the workload-mean response across classes;
-        # exponential expansion then binary search, one solve per probe.
-        def meets(n: int) -> bool:
-            return self.solver.solve(build(n)).mean_response_ms() <= rt_goal_ms
-
-        if not meets(1):
-            return 0
-        lo, hi = 1, 2
-        while meets(hi):
+        hi = 1
+        while True:
+            if hi not in response_ms:
+                solve(_doubling_round(hi))
+            if not response_ms[hi] <= rt_goal_ms:
+                break
             if hi >= _CAPACITY_SEARCH_BOUND:
                 raise ValidationError(
                     f"rt_goal_ms={rt_goal_ms!r} is still met on {server!r} at the "
                     f"capacity search bound of {_CAPACITY_SEARCH_BOUND:,} clients"
                 )
-            lo, hi = hi, hi * 2
+            hi *= 2
+        if hi == 1:
+            return 0
+        lo = hi // 2
         while lo + 1 < hi:
             mid = (lo + hi) // 2
-            if meets(mid):
+            if mid not in response_ms:
+                solve(_bisection_round(lo, hi, response_ms, rt_goal_ms))
+            if response_ms[mid] <= rt_goal_ms:
                 lo = mid
             else:
                 hi = mid
         return lo
+
+
+def _doubling_round(first: int) -> list[int]:
+    """The powers of two a doubling round solves, from ``first`` on.
+
+    Up to :data:`_DOUBLING_ROUND` of them, never past the search bound.
+    """
+    last = min(first << (_DOUBLING_ROUND - 1), _CAPACITY_SEARCH_BOUND)
+    counts = [first]
+    while counts[-1] < last:
+        counts.append(counts[-1] * 2)
+    return counts
+
+
+def _bisection_round(
+    lo: int, hi: int, response_ms: dict[int, float], rt_goal_ms: float
+) -> list[int]:
+    """The probes of the bisection of ``(lo, hi)`` if the goal is crossed
+    where the solved points say.
+
+    ``lo`` meets the goal and ``hi`` misses it, so walking up the solved
+    counts from ``lo`` finds a neighbouring pair ``a < b <= hi`` with ``a``
+    meeting and ``b`` missing.  Past the knee a closed network's response
+    grows linearly in its client count, and the chord from ``a`` to ``b``
+    lies above a response curve that bends up between them, so the
+    estimate extends the secant through ``b`` and the next solved count
+    above it back to the goal (never below ``a``).  Without a higher count
+    whose response is above ``b``'s, it interpolates between ``a`` and
+    ``b``.  The returned probes are the unsolved mid-points the serial
+    bisection visits when each solved count is decided by its response and
+    each unsolved one by whether it lies at or below the estimate.
+    """
+
+    def meets(n: int) -> bool:
+        return response_ms[n] <= rt_goal_ms
+
+    solved = sorted(response_ms)
+    i = solved.index(lo)
+    while meets(solved[i + 1]):
+        i += 1
+    a, b = solved[i], solved[i + 1]
+    r_a, r_b = response_ms[a], response_ms[b]
+    if i + 2 < len(solved) and response_ms[solved[i + 2]] > r_b:
+        c = solved[i + 2]
+        estimate = max(a, b - (c - b) * (r_b - rt_goal_ms) / (response_ms[c] - r_b))
+    else:
+        estimate = a + (b - a) * (rt_goal_ms - r_a) / (r_b - r_a)
+    probes = []
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid in response_ms:
+            below = meets(mid)
+        else:
+            probes.append(mid)
+            below = mid <= estimate
+        if below:
+            lo = mid
+        else:
+            hi = mid
+    return probes
 
 
 class HybridPredictor:

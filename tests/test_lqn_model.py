@@ -11,6 +11,7 @@ from repro.lqn.model import (
     Scheduling,
     Task,
 )
+from repro.lqn.solver import LqnSolver
 from repro.util.errors import ModelError, ValidationError
 
 
@@ -80,6 +81,36 @@ class TestConstruction:
         model.add_task(Task(name="t", processor="p", entries=(Entry("e", 1.0),)))
         with pytest.raises(ModelError, match="duplicate entry"):
             model.add_task(Task(name="t2", processor="p", entries=(Entry("e", 1.0),)))
+
+    def test_task_listing_an_entry_twice_rejected(self):
+        """One server, 10 clients, 100 ms think, one 5 ms entry: 11.8 ms.
+
+        Listed twice, the entry was solved with the first copy's visits
+        for both copies and predicted 43.6 ms; now the task is refused.
+        """
+        serve = Entry("serve", 5.0)
+
+        def model(entries: tuple[Entry, ...]) -> LqnModel:
+            model = LqnModel()
+            model.add_processor(Processor(name="cl", scheduling=Scheduling.DELAY))
+            model.add_processor(Processor(name="cpu"))
+            model.add_task(Task(name="server", processor="cpu", entries=entries))
+            model.add_task(
+                Task(
+                    name="clients",
+                    processor="cl",
+                    entries=(Entry("cycle", 0.0, calls=(Call("serve", 1.0),)),),
+                    is_reference=True,
+                    multiplicity=10,
+                    think_time_ms=100.0,
+                )
+            )
+            return model
+
+        solution = LqnSolver().solve(model((serve,)))
+        assert solution.response_ms["clients"] == pytest.approx(11.766, abs=1e-3)
+        with pytest.raises(ModelError, match="'serve' twice"):
+            model((serve, serve))
 
     def test_entry_calling_same_target_twice_rejected(self):
         with pytest.raises(ModelError, match="twice"):

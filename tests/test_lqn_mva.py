@@ -14,6 +14,8 @@ from repro.lqn.mva import (
     solve_bard_schweitzer,
     solve_exact_single_class,
 )
+from repro.lqn.model import Call, Entry, LqnModel, Processor, Scheduling, Task
+from repro.lqn.solver import LqnSolver
 from repro.util.errors import ValidationError
 
 
@@ -302,6 +304,48 @@ def _mixed_kwargs(**override):
     )
     kwargs.update(override)
     return kwargs
+
+
+class TestInstantCycleRejected:
+    """A class with clients, no think time and no demand has X = N/0."""
+
+    def test_point_input(self):
+        with pytest.raises(ValidationError, match="zero think time and zero demand"):
+            MvaInput(**_mixed_kwargs(think_times_ms=[0.0], demands=np.zeros((1, 2))))
+
+    def test_batch_input(self):
+        with pytest.raises(ValidationError, match="'c' has clients"):
+            MvaBatchInput(
+                stations=[Station("cpu")],
+                class_names=["c"],
+                populations=np.array([[4.0], [4.0]]),
+                think_times_ms=np.array([[10.0], [0.0]]),
+                demands=np.array([[[1.0]], [[0.0]]]),
+            )
+
+    def test_no_clients_or_some_time_is_accepted(self):
+        MvaInput(**_mixed_kwargs(populations=[0], think_times_ms=[0.0], demands=np.zeros((1, 2))))
+        MvaInput(**_mixed_kwargs(think_times_ms=[5.0], demands=np.zeros((1, 2))))
+        MvaInput(**_mixed_kwargs(think_times_ms=[0.0]))
+
+    def test_layered_solve_fails_at_once(self):
+        """Before the check this model spun through all 200,000 iterations
+        and raised ConvergenceError; now building its network refuses it."""
+        model = LqnModel()
+        model.add_processor(Processor(name="cl", scheduling=Scheduling.DELAY))
+        model.add_processor(Processor(name="cpu"))
+        model.add_task(Task(name="server", processor="cpu", entries=(Entry("serve", 0.0),)))
+        model.add_task(
+            Task(
+                name="clients",
+                processor="cl",
+                entries=(Entry("cycle", 0.0, calls=(Call("serve", 1.0),)),),
+                is_reference=True,
+                multiplicity=5,
+            )
+        )
+        with pytest.raises(ValidationError, match="'clients' has clients"):
+            LqnSolver().solve(model)
 
 
 class TestNonFiniteInputRejected:

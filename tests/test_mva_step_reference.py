@@ -442,16 +442,22 @@ def sweeps(draw) -> MvaBatchInput:
                 open_rates_per_ms=[draw(st.floats(0.0, 0.05))],
                 open_demands=np.array([[draw(st.floats(0.0, 5.0)) for _ in range(K)]]),
             )
+        # Zero populations leave a class (or a whole point) idle.
+        populations = draw(st.lists(st.integers(0, 40), min_size=C, max_size=C))
+        thinks = draw(st.lists(st.floats(0.5, 200.0) | st.just(0.0), min_size=C, max_size=C))
+        demands = np.array([[draw(demand) for _ in range(K)] for _ in range(C)])
+        for c in range(C):
+            # A class with clients, no think time and no demand has no
+            # finite throughput; MvaInput refuses it, so give it a think time.
+            if populations[c] and not thinks[c] and not demands[c].any():
+                thinks[c] = draw(st.floats(0.5, 200.0))
         points.append(
             MvaInput(
                 stations=stations,
                 class_names=[f"c{c}" for c in range(C)],
-                # Zero populations leave a class (or a whole point) idle.
-                populations=draw(st.lists(st.integers(0, 40), min_size=C, max_size=C)),
-                think_times_ms=draw(
-                    st.lists(st.floats(0.5, 200.0) | st.just(0.0), min_size=C, max_size=C)
-                ),
-                demands=np.array([[draw(demand) for _ in range(K)] for _ in range(C)]),
+                populations=populations,
+                think_times_ms=thinks,
+                demands=demands,
                 hidden_demands=(
                     np.array([[draw(demand) / 8.0 for _ in range(K)] for _ in range(C)])
                     if with_hidden
@@ -477,9 +483,8 @@ LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     damping=st.sampled_from([0.3, 0.5, 1.0]),
     tol=st.sampled_from([1e-10, 1e-6, 1e-2, LADDER, (1e-1, 1e-2)]),
     criterion_ms=st.sampled_from([0.0, 0.1, 1.0, 20.0]),
-    # 3,000 steps is ample for these networks; a point that cannot
-    # converge (no think time, no demand: infinite throughput) then fails
-    # fast instead of after the default 100,000 steps.
+    # 3,000 steps is ample for these networks; 30 steps leaves points
+    # unconverged, so the failure path is compared too.
     max_iterations=st.sampled_from([3_000, 30]),
 )
 def test_step_matches_reference_bitwise(batch, damping, tol, criterion_ms, max_iterations):

@@ -72,6 +72,14 @@ class TestLqnSerialization:
         rebuilt = load_model(path)
         assert set(rebuilt.tasks) == set(model.tasks)
 
+    def test_round_trip_keeps_a_bounded_queue(self):
+        model = build_trade_model(
+            APP_SERV_F, mixed_workload(200, 0.25), PARAMS, app_queue_capacity=60
+        )
+        assert 60 in {p.queue_capacity for p in model.processors.values()}
+        rebuilt = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert rebuilt == model
+
     def test_document_is_plain_json(self, model):
         json.dumps(model_to_dict(model))  # must not raise
 
