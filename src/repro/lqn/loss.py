@@ -191,7 +191,6 @@ def solve_batch_with_loss(
     *,
     tol: float = 1e-10,
     max_iterations: int = 100_000,
-    damping: float = 0.5,
     iteration_hook=None,
 ) -> MvaBatchSolution:
     """Solve a sweep with finite-capacity (loss) stations.
@@ -240,7 +239,6 @@ def solve_batch_with_loss(
             target,
             tol=tol,
             max_iterations=max_iterations,
-            damping=damping,
             iteration_hook=iteration_hook,
         )
 
