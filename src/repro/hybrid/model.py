@@ -58,24 +58,21 @@ def lqn_max_throughput(model: LqnModel) -> float:
     hybrid method benchmarks a modelled server's max throughput without
     running a saturation search.
     """
-    solver = LqnSolver()
-    classes = model.reference_tasks()
-    require(len(classes) >= 1, "model needs at least one reference task")
-    vis, hid = solver._flatten(model, classes)
-    inp, _, _ = solver._build_network(model, classes, vis, hid)
+    require(len(model.reference_tasks()) >= 1, "model needs at least one reference task")
+    network = LqnSolver().prepare(model)
     # Weight per-class demands by population to get the workload-mix demand.
-    populations = [t.multiplicity for t in classes]
+    populations, _ = network.load_of(model)
     total = sum(populations)
     if total == 0:
         raise CalibrationError("model has zero clients")
     demand = 0.0
     best = 0.0
-    for k, station in enumerate(inp.stations):
+    for k, station in enumerate(network.stations):
         if station.waiting_only:
             continue
         demand = sum(
-            populations[c] / total * (inp.demands[c, k] + inp.hidden_demands[c, k])
-            for c in range(len(classes))
+            populations[c] / total * (network.demands[c, k] + network.hidden_demands[c, k])
+            for c in range(len(populations))
         )
         demand /= station.servers
         best = max(best, demand)

@@ -17,8 +17,8 @@ records in ``model.report.startup_delay_s``.
 
 The layered capacity search makes the serial doubling-then-bisection
 decisions but solves its probes in rounds, one batched
-:meth:`~repro.lqn.solver.LqnSolver.solve_sweep` per round: ~28 points in
-~3.3 sweeps per query instead of ~22 serial solves, with the serial
+:meth:`~repro.lqn.solver.LqnSolver.solve_networks` per round: ~28 points
+in ~3.3 sweeps per query instead of ~22 serial solves, with the serial
 search's answer (:meth:`LqnPredictor.max_clients`).
 """
 
@@ -29,7 +29,7 @@ from typing import Protocol, runtime_checkable
 from repro.historical.model import HistoricalModel
 from repro.hybrid.model import AdvancedHybridModel
 from repro.lqn.builder import TradeModelParameters, build_trade_model
-from repro.lqn.solver import LqnSolver, SolverOptions
+from repro.lqn.solver import LqnSolver, NetworkPoint, PreparedNetwork, SolverOptions
 from repro.servers.architecture import ServerArchitecture
 from repro.util.errors import CalibrationError, ValidationError
 from repro.util.validation import check_non_negative, check_positive
@@ -102,9 +102,19 @@ class HistoricalPredictor:
 class LqnPredictor:
     """The layered queuing method behind the common interface.
 
-    Every prediction builds and solves the layered model for the requested
-    (server, load, mix) — there is no cheaper path, which is the method's
-    structural delay cost (section 8.5).
+    Every prediction solves the layered model for the requested (server,
+    load, mix): a fixed point per point, and a search over client counts
+    per capacity query, which is the method's structural delay cost
+    (section 8.5).  What is *not* paid per prediction is building the
+    network.  For a server, the network depends only on which classes are
+    populated (:func:`~repro.workload.trade.mixed_workload` drops a class
+    whose rounded count is 0; the buy fraction changes only the counts),
+    so the predictor prepares it once per (server, populated classes) and
+    keeps it: at most three networks per registered server.  They are
+    immutable (:class:`~repro.lqn.solver.PreparedNetwork`), so worker
+    threads share them; the architectures and parameters are fixed at
+    construction.  Each point then supplies only its class populations,
+    bit-identical to building and solving its model.
     """
 
     def __init__(
@@ -119,6 +129,8 @@ class LqnPredictor:
         self.parameters = parameters
         self.architectures = dict(architectures)
         self.solver = LqnSolver(solver_options)
+        # (server, populated class names) -> the server's prepared network.
+        self._networks: dict[tuple[str, tuple[str, ...]], PreparedNetwork] = {}
 
     def _arch(self, server: str) -> ServerArchitecture:
         try:
@@ -139,41 +151,44 @@ class LqnPredictor:
         """
         return max(1, int(round(check_non_negative(n_clients, "n_clients"))))
 
-    def _solve(self, server: str, n_clients: float, buy_fraction: float):
-        model = build_trade_model(
-            self._arch(server),
-            mixed_workload(self._population(n_clients), buy_fraction),
-            self.parameters,
-        )
-        return self.solver.solve(model)
+    def _point(self, server: str, n_clients: float, buy_fraction: float) -> NetworkPoint:
+        """The prepared network and class populations of one prediction."""
+        arch = self._arch(server)
+        workload = mixed_workload(self._population(n_clients), buy_fraction)
+        key = (server, tuple(service_class.name for service_class in workload))
+        network = self._networks.get(key)
+        if network is None:
+            model = build_trade_model(arch, workload, self.parameters)
+            # Two threads may prepare the same key; both networks are equal.
+            network = self._networks.setdefault(key, self.solver.prepare(model))
+        # build_trade_model adds one reference task per populated class, in
+        # workload order: the network's class order.
+        return network, tuple(workload.values()), ()
 
     def solve_points(self, points: list[tuple[str, float, float]]):
         """Solve a sweep of ``(server, n_clients, buy_fraction)`` points.
 
-        One batched :meth:`LqnSolver.solve_sweep` call replaces a loop of
-        per-point solves; the returned :class:`~repro.lqn.results.LqnSolution`
-        list (input order) answers *both* response-time and throughput
-        queries for every point, so sweep-shaped callers solve each model
-        once instead of once per metric.  Every point is bit-identical to
-        :meth:`predict_mrt_ms`'s solve.
+        One batched :meth:`LqnSolver.solve_networks` call replaces a loop
+        of per-point solves; the returned
+        :class:`~repro.lqn.results.LqnSolution` list (input order) answers
+        *both* response-time and throughput queries for every point, so
+        sweep-shaped callers solve each model once instead of once per
+        metric.  Every point is bit-identical to :meth:`predict_mrt_ms`'s
+        solve.
         """
-        models = [
-            build_trade_model(
-                self._arch(server),
-                mixed_workload(self._population(n_clients), buy_fraction),
-                self.parameters,
-            )
-            for server, n_clients, buy_fraction in points
-        ]
-        return self.solver.solve_sweep(models)
+        return self.solver.solve_networks([self._point(*point) for point in points])
 
     def predict_mrt_ms(self, server: str, n_clients: float, *, buy_fraction: float = 0.0) -> float:
-        """Predicted mean response time (ms); builds and solves a model."""
-        return self._solve(server, n_clients, buy_fraction).mean_response_ms()
+        """Predicted mean response time (ms); solves one point."""
+        return self.solver.solve_network(
+            *self._point(server, n_clients, buy_fraction)
+        ).mean_response_ms()
 
     def predict_throughput(self, server: str, n_clients: float, *, buy_fraction: float = 0.0) -> float:
-        """Predicted throughput (req/s); builds and solves a model."""
-        return self._solve(server, n_clients, buy_fraction).total_throughput_req_per_s()
+        """Predicted throughput (req/s); solves one point."""
+        return self.solver.solve_network(
+            *self._point(server, n_clients, buy_fraction)
+        ).total_throughput_req_per_s()
 
     def max_clients(self, server: str, rt_goal_ms: float, *, buy_fraction: float = 0.0) -> int:
         """Capacity by *search* over client counts, solved in rounds of sweeps.
@@ -190,7 +205,7 @@ class LqnPredictor:
         unbracketed capacity.
 
         The decisions are the serial search's, but the probes are solved
-        in rounds, one :meth:`LqnSolver.solve_sweep` per round, since a
+        in rounds, one :meth:`LqnSolver.solve_networks` per round, since a
         sweep costs little more than one solve.  The first round solves
         the powers ``1 … 2**12``, later doubling rounds the next powers up
         to the bound.  A bisection round estimates where the goal is

@@ -103,19 +103,23 @@ def _population(model) -> int:
 
 
 class RecordingSolver:
-    """Delegates to ``inner`` and records the population of every model solved."""
+    """Delegates to ``inner`` and records the population of every point solved."""
 
     def __init__(self, inner):
         self.inner = inner
         self.solved: list[int] = []
 
+    def prepare(self, model):
+        return self.inner.prepare(model)
+
     def solve(self, model):
         self.solved.append(_population(model))
         return self.inner.solve(model)
 
-    def solve_sweep(self, models):
-        self.solved.extend(_population(model) for model in models)
-        return self.inner.solve_sweep(models)
+    def solve_networks(self, points):
+        points = list(points)
+        self.solved.extend(sum(populations) for _, populations, _ in points)
+        return self.inner.solve_networks(points)
 
 
 class _Answer:
@@ -132,11 +136,14 @@ class CurveSolver:
     def __init__(self, curve):
         self.curve = curve
 
+    def prepare(self, model):
+        return LqnSolver().prepare(model)
+
     def solve(self, model):
         return _Answer(self.curve(_population(model)))
 
-    def solve_sweep(self, models):
-        return [self.solve(model) for model in models]
+    def solve_networks(self, points):
+        return [_Answer(self.curve(sum(populations))) for _, populations, _ in points]
 
 
 def _outcome(search, *args, **kwargs):
