@@ -1,10 +1,10 @@
 """Experiment drivers: one module per table/figure of the paper.
 
-Every module exposes ``run(fast=False) -> ExperimentResult``; the benchmark
-harness (``benchmarks/``) and the CLI (``python -m repro.experiments.runner``)
-both go through these.  ``fast=True`` trades statistical tightness for
-runtime (shorter simulations, coarser grids) and is what the benchmark suite
-uses; the defaults regenerate the paper-quality numbers recorded in
+Every module exposes ``run(fast=False) -> ExperimentResult``; the CLI
+(``python -m repro.experiments.runner``) and the tests go through these.
+``fast=True`` trades statistical tightness for runtime (shorter
+simulations, coarser grids) and is what the tests and the goldens use;
+the defaults regenerate the paper-quality numbers recorded in
 EXPERIMENTS.md.
 
 =================  =======================================================

@@ -1,7 +1,7 @@
 """The chaos experiment: serving-layer resilience under injected faults.
 
-The serving experiment shows what the layered method costs online; this
-one shows what happens when it *breaks* online.  A
+The ``delay`` experiment shows what the layered method costs per
+prediction; this one shows what happens when it *breaks* online.  A
 :class:`~repro.faults.plan.FaultPlan` browns out the LQN solver for a
 window in the middle of a closed-loop load run (every solve raises
 :class:`~repro.util.errors.ConvergenceError`, the cache is forcibly

@@ -6,8 +6,8 @@ Usage::
     python -m repro.experiments.runner table1 fig2
     python -m repro.experiments.runner all --fast
 
-``--fast`` uses shorter simulations and coarser sweeps (the benchmark-suite
-profile); omit it for the EXPERIMENTS.md-quality numbers.
+``--fast`` uses shorter simulations and coarser sweeps (the profile the tests
+use); omit it for the EXPERIMENTS.md-quality numbers.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ EXPERIMENTS: dict[str, str] = {
     "caching": "repro.experiments.caching",
     "delay": "repro.experiments.delay",
     "recalibration": "repro.experiments.recalibration",
-    "serving": "repro.experiments.serving",
-    "tracing": "repro.experiments.tracing",
     "chaos": "repro.experiments.chaos",
     "workloads": "repro.experiments.workloads",
     "overload": "repro.experiments.overload",

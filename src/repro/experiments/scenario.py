@@ -57,7 +57,7 @@ SEED = 2004
 # stabilises faster, so a 15 s warm-up inside a 75 s run gives thousands of
 # samples per point at the loads of interest.
 MEASUREMENT_CONFIG = SimulationConfig(duration_s=75.0, warmup_s=15.0, seed=SEED)
-# The fast profile for the benchmark suite.
+# The fast profile (``--fast``), which the tests and goldens use.
 FAST_CONFIG = SimulationConfig(duration_s=30.0, warmup_s=8.0, seed=SEED)
 
 # Historical calibration data points, as fractions of the max-throughput

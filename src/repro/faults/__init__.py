@@ -12,9 +12,9 @@ how both promises get *tested* instead of trusted.  It has two halves:
 * the :class:`FaultInjector` — the runtime that injection points
   threaded through the solver, the historical layer, the service cache,
   admission control and the worker pool consult.  Disarmed (the default)
-  every consultation is a near-free early return, benchmarked in
-  ``benchmarks/test_bench_faults_overhead.py`` the same way the
-  disabled tracer is.
+  every consultation is a near-free early return, gated in
+  ``tests/test_wallclock_gates.py`` the same way the disabled tracer
+  is.
 
 Everything is deterministic under a fixed plan seed: probabilistic
 triggers draw from named :func:`repro.util.rng.spawn_rng` sub-streams,

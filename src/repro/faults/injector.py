@@ -5,8 +5,8 @@ Mirrors the :data:`~repro.trace.TRACER` design: one processwide
 default, with a single attribute read (``armed``) as the hot-path
 guard — so leaving the injection points threaded through the solver,
 the historical layer and the serving stack costs effectively nothing
-in production (gated by ``benchmarks/test_bench_faults_overhead.py``,
-same <2 %-of-a-solve budget as the disabled tracer).
+in production (gated in ``tests/test_wallclock_gates.py``, same
+<2 %-of-a-solve budget as the disabled tracer).
 
 The three consultation verbs map onto the
 :class:`~repro.faults.plan.FaultKind` families:

@@ -208,7 +208,10 @@ def solve_batch_with_loss(
        (so ``ρ_open`` and open response times see only *carried* load);
     3. re-run :func:`~repro.lqn.mva.solve_batch` — freeze-on-converge
        semantics intact, it is called as a black box — and repeat until
-       the loss probabilities move less than :data:`LOSS_TOL`.
+       the loss probabilities move less than :data:`LOSS_TOL`.  A point
+       whose loss is stable keeps its loss iterate, so later rounds
+       re-solve it to the same bits: every point's result is what solving
+       it alone returns.
 
     With no capacity stations (or when every loss probability is exactly
     zero, the K→∞ degeneration) the core is called exactly once on the
@@ -276,7 +279,7 @@ def solve_batch_with_loss(
     # core would rightly reject as unstable.
     loss, _ = _loss_from(np.zeros((B, K)), np.zeros((B, K)))
 
-    sol = None
+    done = np.zeros(B, dtype=bool)
     for _ in range(MAX_LOSS_ITERATIONS):
         if not loss.any():
             # K→∞ degeneration: nothing sheds, so the thinning factors are
@@ -290,24 +293,30 @@ def solve_batch_with_loss(
             sol.throughput_per_ms[:, :, None] * (inp.demands + inp.hidden_demands)
         ).sum(axis=1)
         new_loss, mean_n = _loss_from(loss, closed_work)
-        residual = float(np.abs(new_loss - loss).max())
-        loss = new_loss
-        if residual <= LOSS_TOL:
+        residual = np.abs(new_loss - loss).max(axis=1, initial=0.0)
+        done |= residual <= LOSS_TOL
+        if done.all():
+            loss = new_loss
             break
+        # A stable point solves with the same loss iterate from now on,
+        # which reproduces this round's solution and loss bit for bit.
+        loss = np.where(done[:, None], loss, new_loss)
     else:
         raise ConvergenceError(
             "effective-arrival-rate loss fixed point did not converge",
             iterations=MAX_LOSS_ITERATIONS,
-            residual=residual,
+            residual=float(residual.max()),
         )
 
     before, through = _survival_per_station(inp, loss, cap_indices)
     class_loss = 1.0 - through[:, :, -1] if K else np.zeros((B, len(open_names)))
 
-    if loss.any():
+    lossy = np.flatnonzero(loss.any(axis=1))
+    if lossy.size:
         # Open response times at capacity stations come from the closed
         # form (Little on the accepted stream: W/E[S] = L/a_carried); the
-        # unbounded 1/(1-rho) inflation is meaningless past the knee.
+        # unbounded 1/(1-rho) inflation is meaningless past the knee.  A
+        # point that sheds nothing keeps the core's open response times.
         is_delay = np.array([s.kind is StationKind.DELAY for s in stations])
         servers = np.array([s.servers for s in stations], dtype=float)
         thinned = D_open * through
@@ -342,7 +351,7 @@ def solve_batch_with_loss(
                     )
                 r[:, k] = demand[:, k] * factor
             totals = r.sum(axis=1)
-            for b in range(B):
+            for b in lossy:
                 sol.open_response_ms[b][name] = float(totals[b])
 
     return _attach(sol, loss, mean_n, class_loss)

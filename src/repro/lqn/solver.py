@@ -304,8 +304,7 @@ class LqnSolver:
         rates) share one :meth:`prepare`, so a sweep over client counts
         builds its network once; then the points go through
         :meth:`solve_networks`.  Results come back in input order, each
-        what ``solve`` gives on that model (bit for bit, finite-capacity
-        networks aside: see :meth:`solve_networks`).
+        what ``solve`` gives on that model, bit for bit.
         """
         models = list(models)
         if not models:
@@ -334,9 +333,7 @@ class LqnSolver:
         together by :func:`repro.lqn.mva.solve_batch`; converged points
         freeze while stragglers keep iterating.  Results come back in
         input order, each bit-identical to :meth:`solve_network` on that
-        point, unless its network has a finite-capacity station: the
-        loss fixed point runs until the whole batch is stable, so such a
-        point moves with its batch, below the loss tolerance.
+        point.
 
         Faults and accounting match the serial path: one
         ``lqn.solve`` fault-injection firing and one ``solve_count``

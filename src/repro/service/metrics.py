@@ -123,7 +123,7 @@ class LatencyHistogram:
     above the last bound.  Quantiles are estimated by linear
     interpolation inside the bucket containing the requested rank, which
     is the standard fixed-bucket (Prometheus-style) estimator: exact
-    enough for the p50/p95/p99 the serving experiments report, with O(1)
+    enough for the p50/p95/p99 the service exports, with O(1)
     memory regardless of request volume.
     """
 

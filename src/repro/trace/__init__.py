@@ -23,8 +23,8 @@ File-backed traces use :class:`JsonlSink`; ``python -m repro.trace
 summarize trace.jsonl`` prints per-span stats and ``python -m
 repro.trace export`` converts to Chrome ``trace_event`` JSON for
 ``chrome://tracing`` / Perfetto.  Tracing is **disabled by default** and
-the disabled path is a no-op fast path (benchmarked in
-``benchmarks/test_bench_trace_overhead.py``).
+the disabled path is a no-op fast path (gated at < 2 % of a solve in
+``tests/test_wallclock_gates.py``).
 """
 
 from repro.trace.chrome import chrome_trace_events, write_chrome_trace

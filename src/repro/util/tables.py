@@ -1,6 +1,6 @@
 """Fixed-width plain-text table rendering for the experiment harness.
 
-The benchmark harness prints the same rows/series the paper's tables and
+The experiment drivers print the same rows/series the paper's tables and
 figures report; this module renders them legibly without any third-party
 dependency.
 """

@@ -33,7 +33,6 @@ def results():
         "caching",
         "delay",
         "recalibration",
-        "serving",
     ]
     return {experiment_id: run_experiment(experiment_id, fast=True) for experiment_id in ids}
 
@@ -285,35 +284,6 @@ class TestRecalibration:
         for key in ("ns=10,pts=2", "ns=50,pts=2"):
             established, _ = data[key]
             assert established > 0.75, (key, established)
-
-
-class TestServing:
-    def test_warm_cache_lqn_serving_at_least_10x_faster_than_cold(self, results):
-        cold, warm = results["serving"].data["cold_warm"]["layered_queuing"]
-        assert cold / warm >= 10.0
-
-    def test_metrics_export_nonzero_after_concurrent_load(self, results):
-        for name, metrics in results["serving"].data["metrics"].items():
-            assert metrics["latency.p50_s"] > 0.0, name
-            assert metrics["latency.p95_s"] >= metrics["latency.p50_s"], name
-            assert metrics["latency.p99_s"] >= metrics["latency.p95_s"], name
-            assert metrics["cache.hit_rate"] > 0.0, name
-            assert metrics["requests"] > 0, name
-
-    def test_degradation_counts_nonzero_under_impossible_deadline(self, results):
-        degradation = results["serving"].data["degradation"]
-        assert degradation["degraded"] > 0
-        assert degradation["degraded.timeout"] > 0
-        assert degradation["degraded"] >= degradation["degraded.timeout"]
-
-    def test_thread_sweep_covered_per_service(self, results):
-        rows = results["serving"].data["rows"]
-        by_service: dict[str, set[int]] = {}
-        for row in rows:
-            by_service.setdefault(row[0], set()).add(row[1])
-        assert len(by_service) == 3
-        for threads in by_service.values():
-            assert threads == {1, 4, 16}
 
 
 class TestRendering:

@@ -534,6 +534,20 @@ def test_a_network_prepared_once_solves_every_load():
             assert_same_solution(solver.solve_network(*point), ReferenceSolver().solve(model))
 
 
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_a_sweep_equals_a_loop_of_solves(kind):
+    # Every kind, finite capacity included: a point's answer does not
+    # depend on the points it was swept with.
+    solver = LqnSolver()
+    models = [MODELS[kind](n) for n in LOADS]
+    for model, got in zip(models, solver.solve_sweep(models)):
+        assert_same_solution(got, solver.solve(model))
+    network = solver.prepare(models[-1])
+    points = [(network, *network.load_of(model)) for model in models[1:]]
+    for point, got in zip(points, solver.solve_networks(points)):
+        assert_same_solution(got, solver.solve_network(*point))
+
+
 def test_different_structures_in_one_sweep_prepare_separately():
     a = build_trade_model(APP_SERV_F, mixed_workload(100, 0.0), PARAMS)
     b = build_trade_model(APP_SERV_S, mixed_workload(100, 0.0), PARAMS)

@@ -61,8 +61,6 @@ def test_experiment_registry_complete():
         "caching",
         "delay",
         "recalibration",
-        "serving",
-        "tracing",
         "chaos",
         "workloads",
         "overload",

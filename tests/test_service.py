@@ -1,5 +1,6 @@
 """Tests for the prediction-serving subsystem (cache, pool, admission,
-metrics, facade) using fast deterministic stub predictors."""
+metrics, facade), mostly on fast deterministic stub predictors; the last
+class drives the fast-profile layered predictor through the service."""
 
 from __future__ import annotations
 
@@ -607,3 +608,52 @@ class TestLoadGenerator:
             LoadGenConfig(threads=0)
         with pytest.raises(ValidationError):
             LoadGenConfig(operation_weights=(("bogus", 1.0),))
+
+
+@pytest.mark.slow
+class TestLayeredService:
+    """The fast-profile layered predictor behind the service, with the
+    historical predictor as its fallback."""
+
+    @pytest.fixture(scope="class")
+    def predictors(self):
+        from repro.experiments.scenario import build_predictors
+
+        historical, lqn, _, _ = build_predictors(fast=True)
+        return historical, lqn
+
+    def test_closed_loop_load_serves_every_request(self, predictors):
+        historical, lqn = predictors
+        # 10 client counts x 2 operations: every thread repeats an
+        # operating point it has already had answered, so hits are certain.
+        config = LoadGenConfig(
+            threads=4, requests_per_thread=25, servers=("AppServS",), client_range=(100, 109)
+        )
+        with PredictionService(lqn, fallback=historical) as service:
+            report = LoadGenerator(service, config).run()
+        metrics = report.metrics
+        assert report.errors == 0
+        assert report.requests == metrics["requests"] == 100
+        assert 0.0 < metrics["latency.p50_s"] <= metrics["latency.p95_s"]
+        assert metrics["latency.p95_s"] <= metrics["latency.p99_s"]
+        assert metrics["cache.hit_rate"] > 0.0
+
+    def test_warm_cache_is_at_least_10x_faster_than_a_cold_solve(self, predictors):
+        """Min-of-5 on both sides, in one process: the fastest cold solve
+        (five distinct operating points) over the fastest warm batch.  OS
+        noise only ever inflates a timing, so the minima are stable."""
+        _, lqn = predictors
+        with PredictionService(lqn) as service:
+            cold_samples = []
+            for n_clients in (907, 911, 919, 929, 937):
+                start = time.perf_counter()
+                service.predict_mrt_ms("AppServS", n_clients)
+                cold_samples.append(time.perf_counter() - start)
+            warm_samples = []
+            batch = 100
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(batch):
+                    service.predict_mrt_ms("AppServS", 911)
+                warm_samples.append((time.perf_counter() - start) / batch)
+        assert min(cold_samples) / min(warm_samples) >= 10.0, (cold_samples, warm_samples)
