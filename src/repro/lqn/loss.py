@@ -250,8 +250,9 @@ def solve_batch_with_loss(
         sol.loss_probability = np.zeros((B, K))
         sol.capacity_mean_in_system = np.zeros((B, K))
         # The wrapper's whole cost on an unbounded sweep: keep it a small
-        # share of a solve (the loss-path overhead gate is 5%).
-        sol.open_loss = [dict.fromkeys(open_names, 0.0) for _ in range(B)]
+        # share of a solve (the loss-path overhead gate is 5%).  Every
+        # point shares one zero dict, read only: ``solution(b)`` copies it.
+        sol.open_loss = [dict.fromkeys(open_names, 0.0)] * B
         return sol
 
     servers_at = {k: stations[k].servers for k in cap_indices}
