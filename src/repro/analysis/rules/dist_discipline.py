@@ -18,9 +18,8 @@ So, within workload-characterization modules, this rule flags:
   :func:`repro.util.rng.spawn_rng`;
 * any ``<obj>.rvs(...)`` call lacking a ``random_state`` keyword.
 
-The rule patrols paths containing a ``workloads`` fragment only; the
-simulator's own distribution layer predates the convention and is
-already covered at its call sites by REPRO-RNG001.
+The rule patrols paths containing a ``workload`` fragment only: the
+``repro.workload`` package, the ``workloads`` experiment and their tests.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.analysis.rules.base import Rule, SourceFile, register
 __all__ = ["DistDisciplineRule"]
 
 #: Path fragments naming the modules under this rule's jurisdiction.
-_SCOPE_MARKERS = ("workloads",)
+_SCOPE_MARKERS = ("workload",)
 
 
 def _has_rng_parameter(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

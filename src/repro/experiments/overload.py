@@ -24,8 +24,8 @@ simulated testbed at every point:
 
 Two integration legs ride along: a **drop-bearing trace round trip**
 (synthesise a trace, mark drops, persist the 4-column CSV, re-ingest it
-through the workloads ETL and feed the derived observation to the
-historical model) and a **retry storm** driven through
+as a :class:`~repro.workload.records.RecordSet` and feed the derived
+observation to the historical model) and a **retry storm** driven through
 :mod:`repro.faults` and the serving layer — a TRIP at the
 ``service.admission`` site rejects every request inside a storm window
 while the (deterministic, fake-clocked) client retries each rejection,
@@ -74,8 +74,8 @@ from repro.workload.generators import (
     load_trace_csv,
     save_trace_csv,
 )
+from repro.workload.records import records_from_trace_entries
 from repro.workload.trade import browse_class
-from repro.workloads.etl import records_from_trace_entries
 
 __all__ = ["QUEUE_CAPACITY", "TICK_S", "admission_storm_plan", "run", "main"]
 
@@ -192,13 +192,13 @@ def _k_inf_degeneration(rate: float, params) -> bool:
 
 
 def _trace_roundtrip(rate: float, sim_loss: float) -> dict:
-    """Persist a drop-bearing trace and re-ingest it through the ETL.
+    """Persist a drop-bearing trace and re-ingest it as a record set.
 
     A deterministic arrival trace at the sweep's top rate has every
     k-th request marked dropped, with k chosen so the marked fraction
     approximates the simulated loss rate; the 4-column CSV round-trips
-    through :func:`load_trace_csv` and the workloads ETL, and the derived
-    ``(offered, loss)`` observation is exactly what
+    through :func:`load_trace_csv` and :func:`records_from_trace_entries`,
+    and the derived ``(offered, loss)`` observation is exactly what
     :meth:`HistoricalModel.calibrate_loss` consumes.
     """
     sc = browse_class()

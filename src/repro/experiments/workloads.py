@@ -1,27 +1,25 @@
 """The workloads experiment: the characterization loop as one artefact.
 
 The paper fixes its workload at exp(7 s) think times and a constant buy
-knob; this experiment runs the :mod:`repro.workloads` pipeline end to
-end on a workload the paper could not express — lognormal think times
-under a diurnal swing, a mid-run flash crowd and a drifting buy mix —
-and publishes every stage as one reproducible payload:
+knob; this experiment asks whether a trace's think times fit that
+assumption.  It runs the characterisation modules of
+:mod:`repro.workload` end to end on a workload the paper could not
+express — lognormal think times under a diurnal swing, a mid-run flash
+crowd and a drifting buy mix — and publishes every stage as one
+reproducible payload:
 
-1. **compile** the canonical :class:`~repro.workloads.scenario.ScenarioSpec`
+1. **compile** the canonical :class:`~repro.workload.scenario.ScenarioSpec`
    to a single deterministic arrival trace;
 2. **characterize** it — distribution fits ranked by AIC with KS/AD/CV²
    diagnostics, plus the exponentiality screen (which must *reject* the
    exponential here: the scenario exists to break that assumption);
 3. **validate** the round trip — refit the trace, regenerate from the
    fitted model, and compare arrival rate, think-time moments and mix
-   within declared tolerances;
-4. **replay the identical compiled entries through both backends** —
-   the discrete-event testbed and the prediction service (historical
-   predictor on a fake clock) — demonstrating single-spec/two-backends:
-   same arrivals, same mix, same seed, two consumers.
+   within declared tolerances.
 
-Everything is seeded and clocked deterministically, so two runs produce
-byte-identical JSON; the CI ``workloads`` job diffs them and the golden
-test pins the fast-mode payload.
+Everything is seeded, so two runs produce byte-identical JSON; the CI
+``workloads`` job diffs them and the golden test pins the fast-mode
+payload.
 
 Run directly for the CI-facing JSON report::
 
@@ -35,17 +33,11 @@ import json
 import math
 import sys
 
-from repro.experiments.scenario import SEED, ExperimentResult, build_historical_model
-from repro.prediction.interface import HistoricalPredictor
-from repro.servers.catalogue import APP_SERV_F
-from repro.service.service import PredictionService, ServiceConfig
-from repro.util.clock import FakeClock
+from repro.experiments.scenario import SEED, ExperimentResult
 from repro.util.tables import format_kv, format_table
-from repro.workloads.backends import ScenarioServiceDriver, run_scenario_simulation
-from repro.workloads.etl import records_from_trace_entries
-from repro.workloads.fitting import discriminate_tail, fit_all
-from repro.workloads.scenario import canonical_spec, generate_entries
-from repro.workloads.validation import validate_roundtrip
+from repro.workload.fitting import discriminate_tail, fit_all
+from repro.workload.scenario import canonical_spec, generate_records
+from repro.workload.validation import validate_roundtrip
 
 __all__ = ["run", "main"]
 
@@ -62,10 +54,9 @@ def _finite(value):
 
 
 def run(fast: bool = False) -> ExperimentResult:
-    """Run the characterization loop and replay both backends."""
+    """Run the characterization loop: compile, characterise, validate."""
     spec = canonical_spec(fast=fast)
-    entries = generate_entries(spec, seed=SEED)  # compiled once, consumed twice
-    records = records_from_trace_entries(entries)
+    records = generate_records(spec, seed=SEED)
     stats = records.statistics()
 
     thinks = records.think_times_ms()
@@ -73,38 +64,16 @@ def run(fast: bool = False) -> ExperimentResult:
     tail_class, expo = discriminate_tail(thinks)
     validation = validate_roundtrip(records, seed=SEED + 1)
 
-    simulation = run_scenario_simulation(spec, seed=SEED, entries=entries)
-
-    clock = FakeClock()
-    with PredictionService(
-        HistoricalPredictor(build_historical_model(fast=fast)),
-        config=ServiceConfig(),
-        clock=clock,
-    ) as service:
-        serving = ScenarioServiceDriver(
-            service,
-            spec,
-            seed=SEED,
-            server=APP_SERV_F.name,
-            clock=clock,
-            entries=entries,
-        ).run()
-
     data = _finite(
         {
             "seed": SEED,
             "scenario": spec.to_dict(),
-            "n_entries": len(entries),
+            "n_entries": len(records),
             "source_statistics": stats.to_dict(),
             "exponentiality": expo.to_dict(),
             "tail_class": tail_class,
             "fits": [fit.to_dict() for fit in fits],
             "validation": validation.to_dict(),
-            "simulation": simulation.to_dict(),
-            "serving": serving.to_dict(),
-            "backends_consumed_identical_entries": (
-                simulation.requests_injected == serving.requests == len(entries)
-            ),
         }
     )
 
@@ -141,29 +110,19 @@ def run(fast: bool = False) -> ExperimentResult:
     summary = format_kv(
         {
             "scenario": spec.name,
-            "compiled requests": len(entries),
+            "compiled requests": len(records),
             "clients / duration (s)": f"{spec.n_clients} / {spec.duration_s:.0f}",
             "think CV²": f"{stats.think_cv2:.3f}",
             "exponential think times?": f"{expo.is_exponential} ({expo.reason})",
             "tail classification": tail_class,
             "round-trip validation": "PASSED" if validation.passed else "FAILED",
-            "simulator: completed / mean RT (ms)": (
-                f"{simulation.requests_completed} / {simulation.mean_response_ms:.1f}"
-            ),
-            "service: requests / mean predicted MRT (ms)": (
-                f"{serving.requests} / {serving.mean_predicted_mrt_ms:.1f}"
-            ),
-            "service: client range driven": f"{serving.min_clients}..{serving.max_clients}",
-            "both backends consumed identical entries": data[
-                "backends_consumed_identical_entries"
-            ],
         },
-        title="Workload characterization loop (single spec, two backends)",
+        title="Workload characterization loop",
     )
 
     return ExperimentResult(
         experiment_id="workloads",
-        title="Workloads: trace-driven characterization, fit, validate, replay",
+        title="Workloads: trace-driven characterization, fit, validate",
         rendered=summary + "\n\n" + fits_table + "\n\n" + validation_table,
         data=data,
     )
@@ -174,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ``--json PATH`` writes the payload as canonically sorted JSON; the CI
     ``workloads`` job runs this twice and diffs the files to prove the
-    whole loop — generation, fitting, validation, both backend replays —
-    is deterministic.
+    whole loop — generation, fitting, validation — is deterministic.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.workloads",

@@ -122,9 +122,9 @@ def observations_from_record_sets(
     """``(offered rate, loss rate)`` pairs from recorded traces with drops.
 
     Accepts any objects exposing ``arrival_rate_req_per_s()`` and a
-    ``loss_rate`` property — i.e. :class:`repro.workloads.records.RecordSet`
+    ``loss_rate`` property — i.e. :class:`repro.workload.records.RecordSet`
     built from traces whose CSV carries the ``dropped`` column.  Duck-typed
-    so the historical package does not depend on the ETL package.
+    so the historical package does not depend on the workload package.
     """
     observations = []
     for record_set in record_sets:

@@ -19,13 +19,6 @@ methods are evaluated against.
 """
 
 from repro.simulation.engine import Simulator
-from repro.simulation.distributions import (
-    Deterministic,
-    Exponential,
-    Erlang,
-    HyperExponential,
-    Sampler,
-)
 from repro.simulation.metrics import ResponseTimeStats, MetricsCollector
 from repro.simulation.resources import ProcessorSharingServer, FifoServer
 from repro.simulation.system import (
@@ -39,11 +32,6 @@ from repro.simulation.open_clients import OpenArrivalProcess
 
 __all__ = [
     "Simulator",
-    "Sampler",
-    "Deterministic",
-    "Exponential",
-    "Erlang",
-    "HyperExponential",
     "ResponseTimeStats",
     "MetricsCollector",
     "ProcessorSharingServer",

@@ -14,6 +14,17 @@ workload synthetically: operations with per-request CPU demands at the
 application and database tiers, chosen so that the class-level aggregate
 demands reproduce the paper's measured per-request-type behaviour (table 2)
 and the published per-server max throughputs (86/186/320 req/s).
+
+The package also holds the trace characterisation that tests the paper's
+exp(7 s) think-time assumption, imported by module path rather than
+re-exported here: :mod:`~repro.workload.records` (trace rows to a
+:class:`~repro.workload.records.RecordSet`), :mod:`~repro.workload.dists`
+(:class:`~repro.workload.dists.DistributionSpec`, the one distribution
+type), :mod:`~repro.workload.fitting` and :mod:`~repro.workload.diagnostics`
+(AIC-ranked fits and the exponentiality screen),
+:mod:`~repro.workload.modulators` and :mod:`~repro.workload.scenario`
+(declarative scenarios compiled to arrival traces) and
+:mod:`~repro.workload.validation` (fit, regenerate, compare).
 """
 
 from repro.workload.operations import Operation, TRADE_OPERATIONS, operation

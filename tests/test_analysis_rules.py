@@ -428,7 +428,7 @@ class TestDistDiscipline:
             def sample(n):
                 return [0.0] * n
             """,
-            path="src/repro/workloads/dists.py",
+            path="src/repro/workload/dists.py",
         )
         assert [f.symbol for f in found] == ["sample"]
 
@@ -440,7 +440,7 @@ class TestDistDiscipline:
                 def sample(self, rng, n):
                     return rng.exponential(1.0, n)
             """,
-            path="src/repro/workloads/dists.py",
+            path="src/repro/workload/dists.py",
         )
         assert found == []
 
@@ -451,18 +451,18 @@ class TestDistDiscipline:
             def draw(dist, rng, n):
                 return dist.rvs(size=n, random_state=rng)
             """,
-            path="src/repro/workloads/fitting.py",
+            path="src/repro/workload/fitting.py",
         )
         assert found == []
 
     def test_out_of_scope_paths_are_exempt(self):
-        """The simulator's distribution layer is REPRO-RNG001's beat."""
+        """The simulator's draws are REPRO-RNG001's beat."""
         found = findings_for(
             "dist-discipline",
             """
             def sample(self):
                 return self._draw()
             """,
-            path="src/repro/simulation/distributions.py",
+            path="src/repro/simulation/clients.py",
         )
         assert found == []

@@ -53,7 +53,7 @@ from repro.servers.catalogue import ALL_APP_SERVERS, APP_SERV_S
 from repro.trace import TRACER
 from repro.util.rng import spawn_rng
 from repro.workload.trade import typical_workload
-from repro.workloads.fitting import fit_all
+from repro.workload.fitting import fit_all
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_mva.json"
 

@@ -5,13 +5,13 @@ import pytest
 
 from repro.util.errors import ValidationError
 from repro.util.rng import spawn_rng
-from repro.workloads.diagnostics import (
+from repro.workload.diagnostics import (
     empirical_cv2,
     exponentiality,
     ks_p_value,
     ks_statistic,
 )
-from repro.workloads.dists import (
+from repro.workload.dists import (
     DistributionSpec,
     empirical_spec,
     exponential_spec,
@@ -19,7 +19,7 @@ from repro.workloads.dists import (
     lognormal_spec,
     pareto_spec,
 )
-from repro.workloads.fitting import (
+from repro.workload.fitting import (
     best_fit,
     discriminate_tail,
     fit_all,
@@ -33,11 +33,6 @@ RNG = spawn_rng(7, "test:workloads:fitting")
 
 
 class TestDistributionSpec:
-    def test_json_round_trip(self):
-        spec = hyperexponential_spec(0.7, 1000.0, 9000.0)
-        again = DistributionSpec.from_dict(spec.to_dict())
-        assert again == spec
-
     def test_moments(self):
         assert exponential_spec(7000.0).mean_ms == pytest.approx(7000.0)
         assert exponential_spec(7000.0).cv2 == 1.0

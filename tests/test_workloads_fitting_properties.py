@@ -23,14 +23,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import spawn_rng
-from repro.workloads.diagnostics import empirical_cv2, ks_p_value
-from repro.workloads.dists import (
+from repro.workload.diagnostics import empirical_cv2, ks_p_value
+from repro.workload.dists import (
     exponential_spec,
     hyperexponential_spec,
     lognormal_spec,
     pareto_spec,
 )
-from repro.workloads.fitting import (
+from repro.workload.fitting import (
     discriminate_tail,
     fit_exponential,
     fit_hyperexponential,

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.util.errors import ValidationError
-from repro.workloads.records import RecordSet, RequestRecord, classify_request_type
+from repro.workload.records import RecordSet, RequestRecord, classify_request_type
 
 
-def _record(at_ms, op="quote", client="c0", service=None):
-    return RequestRecord(
-        arrival_ms=at_ms, operation=op, client_id=client, service_ms=service
-    )
+def _record(at_ms, op="quote", client="c0"):
+    return RequestRecord(arrival_ms=at_ms, operation=op, client_id=client)
 
 
 class TestRequestRecord:
@@ -21,10 +19,6 @@ class TestRequestRecord:
     def test_rejects_empty_operation(self):
         with pytest.raises(ValidationError):
             RequestRecord(arrival_ms=0.0, operation="", client_id="c0")
-
-    def test_rejects_negative_service(self):
-        with pytest.raises(ValidationError):
-            _record(0.0, service=-5.0)
 
 
 class TestClassify:
@@ -63,16 +57,8 @@ class TestRecordSet:
         # a: 300-0, b: 350-100 — never the cross-client 100-0 gap.
         assert sorted(rs.think_times_ms()) == [250.0, 300.0]
 
-    def test_service_time_is_subtracted_when_known(self):
-        rs = RecordSet(
-            [_record(0.0, client="a", service=40.0), _record(300.0, client="a")]
-        )
-        assert list(rs.think_times_ms()) == [260.0]
-
     def test_non_positive_think_samples_are_dropped(self):
-        rs = RecordSet(
-            [_record(0.0, client="a", service=500.0), _record(300.0, client="a")]
-        )
+        rs = RecordSet([_record(300.0, client="a"), _record(300.0, client="a")])
         assert rs.think_times_ms().size == 0
 
     def test_type_and_operation_fractions(self):

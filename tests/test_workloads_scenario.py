@@ -1,23 +1,19 @@
-"""Scenario compilation: determinism, serialization, both backends."""
+"""Scenario compilation: determinism, modulators, and the think-time question."""
 
 import numpy as np
 import pytest
 
-from repro.service.service import PredictionService, ServiceConfig
-from repro.util.clock import FakeClock
 from repro.util.errors import ValidationError
-from repro.workloads.backends import ScenarioServiceDriver, run_scenario_simulation
-from repro.workloads.dists import exponential_spec, lognormal_spec
-from repro.workloads.modulators import (
+from repro.workload.diagnostics import exponentiality
+from repro.workload.dists import exponential_spec
+from repro.workload.modulators import (
     DiurnalCurve,
     FlashCrowd,
     MixSchedule,
-    Ramp,
     compose_factor,
-    modulator_from_dict,
 )
-from repro.workloads.records import classify_request_type
-from repro.workloads.scenario import (
+from repro.workload.records import classify_request_type, records_from_trace_entries
+from repro.workload.scenario import (
     ScenarioSpec,
     canonical_spec,
     generate_entries,
@@ -50,30 +46,12 @@ class TestModulators:
         assert crowd.factor(50.0) == pytest.approx(3.0)
         assert crowd.factor(60.0) == pytest.approx(1.0 + 2.0 / np.e)
 
-    def test_ramp_interpolates(self):
-        ramp = Ramp(start_s=10.0, end_s=20.0, from_factor=1.0, to_factor=3.0)
-        assert ramp.factor(0.0) == 1.0
-        assert ramp.factor(15.0) == pytest.approx(2.0)
-        assert ramp.factor(99.0) == 3.0
-
     def test_composition_is_a_product(self):
         mods = (
-            Ramp(start_s=0.0, end_s=10.0, from_factor=2.0, to_factor=2.0),
+            DiurnalCurve(period_s=100.0, amplitude=0.5),
             FlashCrowd(at_s=0.0, magnitude=1.0, decay_s=1e9),
         )
-        assert compose_factor(mods, 5.0) == pytest.approx(4.0)
-
-    def test_round_trip_through_dict(self):
-        for modulator in (
-            DiurnalCurve(period_s=60.0, amplitude=0.3, phase_s=5.0),
-            FlashCrowd(at_s=10.0, magnitude=1.5, decay_s=20.0),
-            Ramp(start_s=1.0, end_s=2.0, from_factor=0.5, to_factor=1.5),
-        ):
-            assert modulator_from_dict(modulator.to_dict()) == modulator
-
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValidationError):
-            modulator_from_dict({"kind": "square_wave"})
+        assert compose_factor(mods, 25.0) == pytest.approx(3.0)
 
     def test_mix_schedule_interpolates_and_clamps(self):
         mix = MixSchedule(points=((0.0, 0.1), (100.0, 0.3)))
@@ -87,20 +65,9 @@ class TestModulators:
 
 
 class TestScenarioSpec:
-    def test_json_file_round_trip(self, tmp_path):
-        spec = canonical_spec(fast=True)
-        path = spec.save_json(tmp_path / "scenario.json")
-        assert ScenarioSpec.load_json(path) == spec
-
-    def test_malformed_dict_is_rejected(self):
-        with pytest.raises(ValidationError):
-            ScenarioSpec.from_dict({"name": "x"})
-
     def test_factor_floors_at_positive_value(self):
-        spec = _spec(
-            modulators=(Ramp(start_s=0.0, end_s=1.0, from_factor=0.0, to_factor=0.0),)
-        )
-        assert spec.factor(0.5) > 0.0
+        spec = _spec(modulators=(DiurnalCurve(period_s=100.0, amplitude=1.0),))
+        assert spec.factor(75.0) > 0.0
 
 
 class TestGeneration:
@@ -140,11 +107,7 @@ class TestGeneration:
     def test_modulators_raise_offered_rate(self):
         base = generate_entries(_spec(), seed=4)
         boosted = generate_entries(
-            _spec(
-                modulators=(
-                    Ramp(start_s=0.0, end_s=1.0, from_factor=3.0, to_factor=3.0),
-                )
-            ),
+            _spec(modulators=(FlashCrowd(at_s=0.0, magnitude=2.0, decay_s=1e9),)),
             seed=4,
         )
         assert len(boosted) > 1.5 * len(base)
@@ -156,94 +119,32 @@ class TestGeneration:
         assert len(records) == len(entries)
 
 
-class _FixedPredictor:
-    """Predictor stub: deterministic arithmetic, no model behind it."""
+class TestThinkTimeQuestion:
+    """Does a trace's think time fit the paper's exp(7 s) assumption?
 
-    name = "fixed"
+    Compile -> records -> per-client think times -> exponentiality screen:
+    the path the ``workloads`` experiment answers the question with.
+    """
 
-    def predict_mrt_ms(self, server, n_clients, *, buy_fraction=0.0):
-        return 10.0 + 0.5 * n_clients + 100.0 * buy_fraction
+    @staticmethod
+    def _think_times_ms(spec, seed):
+        records = records_from_trace_entries(generate_entries(spec, seed=seed))
+        return records.think_times_ms()
 
-    def predict_throughput(self, server, n_clients, *, buy_fraction=0.0):
-        return n_clients / 7.0
-
-    def max_clients(self, server, rt_goal_ms, *, buy_fraction=0.0):
-        return 500
-
-
-class TestBackends:
-    def test_one_spec_drives_both_backends_with_identical_entries(self):
-        """The acceptance demonstration: one compiled trace, two consumers."""
-        spec = _spec(n_clients=8, duration_s=60.0)
-        entries = generate_entries(spec, seed=21)
-
-        summary = run_scenario_simulation(spec, seed=21, entries=entries)
-        assert summary.requests_injected == len(entries)
-        assert summary.requests_completed == len(entries)
-        assert summary.mean_response_ms > 0.0
-        assert set(summary.per_class_requests) == {
-            classify_request_type(e.operation) for e in entries
-        }
-
-        clock = FakeClock()
-        with PredictionService(
-            _FixedPredictor(), config=ServiceConfig(), clock=clock
-        ) as service:
-            report = ScenarioServiceDriver(
-                service, spec, seed=21, server="AppServF", clock=clock, entries=entries
-            ).run()
-        assert report.requests == len(entries)
-        assert report.errors == 0
-        assert report.per_type_requests == summary.per_class_requests
-
-    def test_simulation_compiles_when_entries_not_supplied(self):
-        summary = run_scenario_simulation(_spec(n_clients=4, duration_s=30.0), seed=2)
-        assert summary.requests_injected > 0
-
-    def test_service_driver_is_deterministic_on_a_fake_clock(self):
-        spec = _spec(n_clients=6, duration_s=45.0)
-
-        def replay():
-            clock = FakeClock()
-            with PredictionService(
-                _FixedPredictor(), config=ServiceConfig(), clock=clock
-            ) as service:
-                return ScenarioServiceDriver(
-                    service, spec, seed=33, server="AppServF", clock=clock
-                ).run()
-
-        assert replay().to_dict() == replay().to_dict()
-
-    def test_service_driver_tracks_modulated_client_count(self):
-        spec = _spec(
-            n_clients=10,
-            duration_s=60.0,
-            modulators=(
-                Ramp(start_s=0.0, end_s=60.0, from_factor=1.0, to_factor=2.0),
-            ),
+    @pytest.mark.parametrize("seed", [1, 2, 3, 2004])
+    def test_paper_workload_passes_the_screen(self, seed):
+        paper = ScenarioSpec(
+            name="paper",
+            n_clients=60,
+            duration_s=300.0,
+            think_time=exponential_spec(7000.0),
         )
-        clock = FakeClock()
-        with PredictionService(
-            _FixedPredictor(), config=ServiceConfig(), clock=clock
-        ) as service:
-            report = ScenarioServiceDriver(
-                service, spec, seed=5, server="AppServF", clock=clock
-            ).run()
-        assert report.max_clients > 10
-        assert report.min_clients >= 10
+        thinks = self._think_times_ms(paper, seed)
+        assert thinks.size > 2000
+        verdict = exponentiality(thinks)
+        assert verdict.is_exponential, verdict.to_dict()
 
-    def test_max_requests_truncates_the_replay(self):
-        spec = _spec(n_clients=6, duration_s=45.0)
-        clock = FakeClock()
-        with PredictionService(
-            _FixedPredictor(), config=ServiceConfig(), clock=clock
-        ) as service:
-            report = ScenarioServiceDriver(
-                service,
-                spec,
-                seed=33,
-                server="AppServF",
-                clock=clock,
-                max_requests=7,
-            ).run()
-        assert report.requests == 7
+    @pytest.mark.parametrize("seed", [1, 2, 3, 2004])
+    def test_canonical_workload_fails_the_screen(self, seed):
+        verdict = exponentiality(self._think_times_ms(canonical_spec(fast=True), seed))
+        assert not verdict.is_exponential, verdict.to_dict()

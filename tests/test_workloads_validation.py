@@ -3,10 +3,10 @@
 import pytest
 
 from repro.util.errors import ValidationError
-from repro.workloads.modulators import MixSchedule
-from repro.workloads.scenario import ScenarioSpec, generate_records
-from repro.workloads.dists import lognormal_spec
-from repro.workloads.validation import (
+from repro.workload.modulators import MixSchedule
+from repro.workload.scenario import ScenarioSpec, generate_records
+from repro.workload.dists import lognormal_spec
+from repro.workload.validation import (
     Tolerances,
     fit_scenario_from_records,
     validate_roundtrip,
