@@ -1,18 +1,13 @@
-"""repro.analysis — static analysis for the codebase *and* its models.
+"""repro.analysis — static analysis gates for the codebase.
 
 Two halves behind one findings/baseline/reporting pipeline:
 
 * a **code linter** — an AST-walking engine with domain-specific rules
-  (lock discipline for the concurrent serving layer, RNG discipline for
-  seeded reproducibility, float-equality hygiene in solver/fitting
-  code, mutable default arguments, ``__all__`` drift), a committed
-  baseline so legacy findings don't block CI, and a
-  ``python -m repro.analysis`` CLI whose exit code gates the build;
-* a **model linter** — static validation of layered queuing models
-  (call-graph cycles, unreachable entries, non-positive demands and
-  multiplicities, reference-task sanity) run before any solve via
-  ``SolverOptions(lint_models=True)`` or a
-  :class:`~repro.service.service.PredictionService` admission preflight;
+  (lock discipline for the concurrent serving layer, RNG and
+  distribution discipline for seeded reproducibility, trace
+  discipline for spans), a committed baseline so legacy findings don't
+  block CI, and a ``python -m repro.analysis`` CLI whose exit code
+  gates the build;
 * a **whole-program analyzer** (:mod:`repro.analysis.project`) — parses
   the tree once into a module-qualified call graph and lock model, then
   runs interprocedural passes for lock-order deadlock cycles,
@@ -21,25 +16,17 @@ Two halves behind one findings/baseline/reporting pipeline:
 
 Quick use::
 
-    from repro.analysis import AnalysisEngine, lint_model, analyze_project
+    from repro.analysis import AnalysisEngine, analyze_project
     findings = AnalysisEngine().analyze_paths(["src"])
-    model_findings = lint_model(model)   # LqnModel or serialized dict
     program_findings = analyze_project(["src"])
 """
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import AnalysisEngine, collect_python_files
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.model_lint import (
-    ModelLintError,
-    check_model,
-    lint_model,
-    model_preflight,
-)
 from repro.analysis.project import ProjectAnalyzer, ProjectConfig, analyze_project
-from repro.analysis.reporters import render_json, render_text
+from repro.analysis.reporters import render_text
 from repro.analysis.rules import Rule, SourceFile, all_rules, register, resolve_rules
-from repro.analysis.sarif import render_sarif
 
 __all__ = [
     "AnalysisEngine",
@@ -55,13 +42,7 @@ __all__ = [
     "load_baseline",
     "write_baseline",
     "render_text",
-    "render_json",
-    "render_sarif",
     "ProjectAnalyzer",
     "ProjectConfig",
     "analyze_project",
-    "lint_model",
-    "check_model",
-    "model_preflight",
-    "ModelLintError",
 ]

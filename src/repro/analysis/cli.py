@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.analysis src tests --baseline .analysis-baseline.json
-    python -m repro.analysis src --rule lock-discipline --format=json
+    python -m repro.analysis src --rule lock-discipline
     python -m repro.analysis src tests --baseline b.json --write-baseline
     python -m repro.analysis --list-rules
     python -m repro.analysis project src      # whole-program passes
@@ -26,9 +26,8 @@ from typing import Sequence
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import AnalysisEngine
-from repro.analysis.reporters import render_json, render_text
+from repro.analysis.reporters import render_text
 from repro.analysis.rules.base import all_rules, resolve_rules
-from repro.analysis.sarif import render_sarif
 from repro.util.errors import ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -67,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         action="store_true",
         help="write the current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
     )
     parser.add_argument(
         "--list-rules",
@@ -118,9 +111,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as error:
         parser.exit(EXIT_USAGE, f"error: {error}\n")
 
-    if args.format == "sarif":
-        print(render_sarif(findings, suppressed=suppressed))
-    else:
-        renderer = render_json if args.format == "json" else render_text
-        print(renderer(findings, suppressed=suppressed))
+    print(render_text(findings, suppressed=suppressed))
     return EXIT_FINDINGS if findings else EXIT_CLEAN

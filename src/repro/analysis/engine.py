@@ -107,7 +107,6 @@ class AnalysisEngine:
             return [
                 Finding(
                     rule_id=SYNTAX_RULE_ID,
-                    rule_name="syntax",
                     severity=Severity.ERROR,
                     path=path,
                     line=error.lineno or 0,

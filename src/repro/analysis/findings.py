@@ -2,9 +2,9 @@
 
 A :class:`Finding` is one diagnosed defect — a rule id, a severity, a
 ``path:line`` anchor and a human-readable message.  Both halves of the
-framework (the AST code linter and the LQN model linter) speak in
-findings, so one baseline format, one reporter set and one CI gate
-cover them all.
+framework (the per-file AST linter and the whole-program passes) speak
+in findings, so one baseline format, one reporter and one CI gate cover
+them all.
 
 Fingerprints deliberately exclude the line number: a baseline entry
 keyed on ``(rule, path, symbol, message)`` survives unrelated edits
@@ -33,11 +33,10 @@ __all__ = ["Severity", "Finding"]
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings are defects (races, broken exports, invalid
-    models); ``WARNING`` findings are hygiene debt.  The CI gate fails
+    ``ERROR`` findings are defects (races, hidden entropy, deadlock
+    cycles); ``WARNING`` findings are hygiene debt.  The CI gate fails
     on any *new* finding of either severity — the distinction matters to
-    the reader and to the solver wiring (which raises only on errors),
-    not to the gate.
+    the reader, not to the gate.
     """
 
     ERROR = "error"
@@ -59,7 +58,6 @@ class Finding:
     """
 
     rule_id: str
-    rule_name: str
     severity: Severity
     path: str
     line: int
@@ -80,22 +78,6 @@ class Finding:
         if self.witness:
             raw += "|" + " -> ".join(self.witness)
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:20]
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-compatible form (the JSON reporter's row format)."""
-        row: dict[str, object] = {
-            "rule_id": self.rule_id,
-            "rule_name": self.rule_name,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "symbol": self.symbol,
-            "message": self.message,
-            "fingerprint": self.fingerprint(),
-        }
-        if self.witness:
-            row["witness"] = list(self.witness)
-        return row
 
     def render(self) -> str:
         """The text reporter's one-line form."""

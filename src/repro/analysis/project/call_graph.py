@@ -422,7 +422,6 @@ def build_index(paths: Sequence[str | Path]) -> ProjectIndex:
                 index.syntax_findings.append(
                     Finding(
                         rule_id=SYNTAX_RULE_ID,
-                        rule_name="syntax",
                         severity=Severity.ERROR,
                         path=shown,
                         line=error.lineno or 0,

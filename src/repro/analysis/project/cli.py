@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.analysis project src
-    python -m repro.analysis project src --pass deadlock --format sarif
+    python -m repro.analysis project src --pass deadlock
     python -m repro.analysis project src --write-baseline
     python -m repro.analysis project src --no-baseline
 
@@ -27,8 +27,7 @@ from typing import Sequence
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import find_project_root
-from repro.analysis.reporters import render_json, render_text
-from repro.analysis.sarif import render_sarif
+from repro.analysis.reporters import render_text
 from repro.analysis.project.passes import (
     PROJECT_PASSES,
     ProjectAnalyzer,
@@ -89,12 +88,6 @@ def build_project_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write the current findings to the baseline file and exit 0",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
     return parser
 
 
@@ -146,10 +139,5 @@ def project_main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as error:
         parser.exit(EXIT_USAGE, f"error: {error}\n")
 
-    if args.format == "sarif":
-        print(render_sarif(findings, suppressed=suppressed))
-    elif args.format == "json":
-        print(render_json(findings, suppressed=suppressed))
-    else:
-        print(render_text(findings, suppressed=suppressed))
+    print(render_text(findings, suppressed=suppressed))
     return EXIT_FINDINGS if findings else EXIT_CLEAN

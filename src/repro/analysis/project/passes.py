@@ -283,7 +283,6 @@ def _lock_edges(
                         self_deadlocks.append(
                             Finding(
                                 rule_id=DEADLOCK_RULE_ID,
-                                rule_name="lock-order",
                                 severity=Severity.ERROR,
                                 path=fn.path,
                                 line=acq.line,
@@ -316,7 +315,6 @@ def _lock_edges(
                                 self_deadlocks.append(
                                     Finding(
                                         rule_id=DEADLOCK_RULE_ID,
-                                        rule_name="lock-order",
                                         severity=Severity.ERROR,
                                         path=fn.path,
                                         line=site.line,
@@ -459,7 +457,6 @@ def run_deadlock_pass(
         findings.append(
             Finding(
                 rule_id=DEADLOCK_RULE_ID,
-                rule_name="lock-order",
                 severity=Severity.ERROR,
                 path=anchor.path,
                 line=anchor.line,
@@ -499,7 +496,6 @@ def run_blocking_pass(
                     findings.append(
                         Finding(
                             rule_id=BLOCK_RULE_ID,
-                            rule_name="blocking-under-lock",
                             severity=Severity.ERROR,
                             path=fn.path,
                             line=site.line,
@@ -524,7 +520,6 @@ def run_blocking_pass(
                     findings.append(
                         Finding(
                             rule_id=BLOCK_RULE_ID,
-                            rule_name="blocking-under-lock",
                             severity=Severity.ERROR,
                             path=fn.path,
                             line=site.line,
@@ -567,7 +562,6 @@ def run_entropy_pass(
             findings.append(
                 Finding(
                     rule_id=ENTROPY_RULE_ID,
-                    rule_name="entropy-to-artifact",
                     severity=Severity.ERROR,
                     path=fn.path,
                     line=sink.line,

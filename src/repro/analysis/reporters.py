@@ -1,19 +1,16 @@
-"""Finding reporters: the CLI's ``--format=text|json`` output.
+"""The finding reporter behind both CLIs' output.
 
-Both reporters receive the *new* findings (post-baseline) plus the
-summary counters, so the same render path serves interactive use and
-the CI gate; JSON output is a single object suitable for piping into
-``jq`` or archiving as a build artifact.
+It receives the *new* findings (post-baseline) plus the suppressed
+count, so the same render path serves interactive use and the CI gate.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from repro.analysis.findings import Finding, Severity
 
-__all__ = ["render_text", "render_json"]
+__all__ = ["render_text"]
 
 
 def render_text(findings: Sequence[Finding], *, suppressed: int = 0) -> str:
@@ -30,16 +27,3 @@ def render_text(findings: Sequence[Finding], *, suppressed: int = 0) -> str:
         summary += f" ({suppressed} suppressed by baseline)"
     lines.append(summary)
     return "\n".join(lines)
-
-
-def render_json(findings: Sequence[Finding], *, suppressed: int = 0) -> str:
-    """A single JSON object: summary counters plus one row per finding."""
-    payload = {
-        "tool": "repro.analysis",
-        "new": len(findings),
-        "errors": sum(1 for f in findings if f.severity is Severity.ERROR),
-        "warnings": sum(1 for f in findings if f.severity is Severity.WARNING),
-        "suppressed": suppressed,
-        "findings": [finding.to_dict() for finding in findings],
-    }
-    return json.dumps(payload, indent=2)

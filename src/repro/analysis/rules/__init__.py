@@ -8,9 +8,6 @@ rule id         name                  defect class
 REPRO-DIST001   dist-discipline       workload sampling with hidden entropy
 REPRO-LOCK001   lock-discipline       lock-guarded state accessed bare
 REPRO-RNG001    rng-discipline        unseeded module-level RNG use
-REPRO-FLT001    float-equality        exact float == in tolerance code
-REPRO-MUT001    mutable-default-args  shared mutable default arguments
-REPRO-API001    public-api            __all__ drift vs. defined names
 REPRO-TRC001    trace-discipline      spans driven by bare begin()/end()
 ==============  ====================  =====================================
 
@@ -22,10 +19,7 @@ positive/negative fixtures under ``tests/analysis_fixtures/``.
 
 from repro.analysis.rules import (  # noqa: F401  (imports register the rules)
     dist_discipline,
-    float_equality,
     lock_discipline,
-    mutable_defaults,
-    public_api,
     rng_discipline,
     trace_discipline,
 )

@@ -40,8 +40,8 @@ class Rule:
 
     Subclasses set the four class attributes and implement
     :meth:`check`; :meth:`applies_to` lets path-scoped rules (e.g.
-    float-equality, which only patrols tolerance-sensitive modules)
-    opt out of files they have no opinion about.
+    rng-discipline, which exempts the sanctioned stream factory) opt
+    out of files they have no opinion about.
     """
 
     rule_id: str = "REPRO-XXX000"
@@ -70,7 +70,6 @@ class Rule:
         line = node if isinstance(node, int) else getattr(node, "lineno", 0)
         return Finding(
             rule_id=self.rule_id,
-            rule_name=self.name,
             severity=severity if severity is not None else self.severity,
             path=sf.path,
             line=line,

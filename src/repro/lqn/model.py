@@ -206,13 +206,16 @@ class LqnModel:
     def _reindex(self) -> None:
         """Rebuild the entry index from ``tasks``.
 
-        The first task (in ``tasks`` order) offering a name owns it, which
-        is what a scan over ``tasks`` would find.
+        Raises :class:`ModelError` when two tasks offer the same entry
+        name, as :meth:`add_task` does: a call to that name would reach
+        only one of them.
         """
         index: dict[str, tuple[Task, Entry]] = {}
         for task in self.tasks.values():
             for entry in task.entries:
-                index.setdefault(entry.name, (task, entry))
+                if entry.name in index:
+                    raise ModelError(f"duplicate entry {entry.name!r}")
+                index[entry.name] = (task, entry)
         self._entries = index
 
     def add_processor(self, processor: Processor) -> Processor:

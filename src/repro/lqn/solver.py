@@ -105,19 +105,11 @@ class SolverOptions:
     iteration stops once successive per-class response-time estimates differ
     by less than this (and queue lengths by less than ``queue_tol``).
     Tightening it increases solve time — the trade-off section 4.2 discusses.
-
-    ``lint_models`` runs :func:`repro.analysis.check_model` over every model
-    before solving: structural defects (call cycles, unreachable entries,
-    non-positive demands) surface as a
-    :class:`~repro.analysis.model_lint.ModelLintError` listing every
-    finding, instead of one-at-a-time validation errors or a hung
-    iteration.
     """
 
     convergence_criterion_ms: float = 1.0
     queue_tol: float = 1e-6
     max_iterations: int = 200_000
-    lint_models: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.convergence_criterion_ms, "convergence_criterion_ms")
@@ -390,21 +382,13 @@ class LqnSolver:
     # -- preparation ----------------------------------------------------------
 
     def prepare(self, model: LqnModel) -> PreparedNetwork:
-        """Lint/validate ``model`` and build its network, load left out.
+        """Validate ``model`` and build its network, load left out.
 
         The one builder behind every solve: :meth:`solve` and
         :meth:`solve_sweep` prepare their models here, and callers that
         solve one structure at many loads prepare it once and call
         :meth:`solve_network` / :meth:`solve_networks`.
         """
-        if self.options.lint_models:
-            # Lazy import: repro.analysis imports this module's
-            # SolverOptions consumers; importing at module scope would
-            # cycle.
-            from repro.analysis.model_lint import check_model
-
-            with TRACER.span("lqn.lint"):
-                check_model(model)
         model.validate()
         classes = model.reference_tasks()
         if not classes:

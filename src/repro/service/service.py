@@ -89,9 +89,6 @@ class PredictionService:
       LQN solves cost one solve);
     * bounded admission, per-request deadlines, transient-error retries
       and graceful degradation to a fast ``fallback`` predictor;
-    * an optional ``preflight`` admission hook (see
-      :func:`repro.analysis.model_preflight`) rejecting requests whose
-      models fail static lint before they reach the pool;
     * a metrics registry exporting hit rates, p50/p95/p99 latencies and
       degradation counts.
 
@@ -108,17 +105,11 @@ class PredictionService:
         fallback: Predictor | None = None,
         config: ServiceConfig | None = None,
         name: str | None = None,
-        preflight: Callable[[str, str, float, float], None] | None = None,
         clock: Clock = SYSTEM_CLOCK,
     ):
         self.primary = primary
         self._clock = clock
         self.fallback = fallback
-        # Admission hook called as preflight(kind, server, operand,
-        # buy_fraction) on every cache miss; raising rejects the request
-        # before it reaches the pool.  repro.analysis.model_preflight
-        # adapts the LQN model linter into this shape.
-        self.preflight = preflight
         self.config = config or ServiceConfig()
         self.name = name if name is not None else f"service({primary.name})"
         self.metrics = MetricsRegistry()
@@ -323,14 +314,6 @@ class PredictionService:
                         server, operand, buy_fraction=buy_fraction
                     )
 
-                if self.preflight is not None:
-                    try:
-                        self.preflight(kind, server, operand, buy_fraction)
-                    except Exception:
-                        self.metrics.counter("preflight.rejected").inc()
-                        span.set_attribute("outcome", "preflight_rejected")
-                        raise
-
                 if not self.admission.try_enter():
                     TRACER.instant("service.admission", admitted=False)
                     span.set_attribute("outcome", "degraded.saturated")
@@ -346,7 +329,7 @@ class PredictionService:
                 TRACER.instant("service.admission", admitted=True)
                 try:
                     # Breaker check sits after the cache lookup and
-                    # admission, so hits and preflight rejections never
+                    # admission, so hits and requests refused admission never
                     # charge it.
                     if self.breaker is not None and not self.breaker.allow():
                         TRACER.instant("service.breaker", allowed=False)

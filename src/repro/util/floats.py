@@ -5,8 +5,7 @@ parts of this codebase: residuals that are mathematically zero come back
 as ``1e-17`` after a least-squares solve, and a branch keyed on
 ``x == 0.0`` silently takes the wrong arm.  These helpers make the
 intent — "is this quantity negligible?" / "are these two values the
-same up to noise?" — explicit, and give the REPRO-FLT001 lint rule a
-sanctioned replacement to point at.
+same up to noise?" — explicit.
 """
 
 from __future__ import annotations

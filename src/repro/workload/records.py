@@ -137,10 +137,6 @@ class RecordSet:
         """All arrival instants, ascending (ms)."""
         return np.array([r.arrival_ms for r in self._records])
 
-    def interarrival_ms(self) -> np.ndarray:
-        """Gaps between consecutive arrivals (ms); empty for one record."""
-        return np.diff(self.arrivals_ms())
-
     def think_times_ms(self) -> np.ndarray:
         """Per-client think times (ms).
 

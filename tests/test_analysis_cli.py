@@ -1,6 +1,5 @@
 """Exit-code contract of the ``python -m repro.analysis`` gate."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -54,32 +53,25 @@ class TestExitCodes:
 
 class TestSelectionAndFormats:
     def test_rule_selection_by_name(self, capsys):
-        assert main([str(FIXTURES), "--rule", "float-equality"]) == EXIT_FINDINGS
+        assert main([str(FIXTURES), "--rule", "trace-discipline"]) == EXIT_FINDINGS
         out = capsys.readouterr().out
-        assert "REPRO-FLT001" in out
+        assert "REPRO-TRC001" in out
         assert "REPRO-LOCK001" not in out
 
     def test_rule_selection_by_id(self, capsys):
-        assert main([str(FIXTURES), "--rule", "REPRO-MUT001"]) == EXIT_FINDINGS
+        assert main([str(FIXTURES), "--rule", "REPRO-DIST001"]) == EXIT_FINDINGS
         out = capsys.readouterr().out
-        assert "REPRO-MUT001" in out
+        assert "REPRO-DIST001" in out
         assert "REPRO-RNG001" not in out
-
-    def test_json_format_parses(self, capsys):
-        assert main([str(FIXTURES), "--format", "json"]) == EXIT_FINDINGS
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["tool"] == "repro.analysis"
-        assert doc["new"] == len(doc["findings"]) > 0
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule_id in (
+            "REPRO-DIST001",
             "REPRO-LOCK001",
             "REPRO-RNG001",
-            "REPRO-FLT001",
-            "REPRO-MUT001",
-            "REPRO-API001",
+            "REPRO-TRC001",
         ):
             assert rule_id in out
 

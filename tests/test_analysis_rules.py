@@ -207,114 +207,6 @@ class TestRngDiscipline:
         assert found == []
 
 
-class TestFloatEquality:
-    def test_fixture_comparisons_flagged(self):
-        engine = AnalysisEngine(resolve_rules(["float-equality"]))
-        found = engine.analyze_file(FIXTURES / "solver_float_eq.py")
-        assert [f.symbol for f in found] == ["==", "!="]
-
-    def test_integer_comparison_not_flagged(self):
-        found = findings_for(
-            "float-equality",
-            "def f(n):\n    return n == 0\n",
-            path="src/repro/lqn/solver.py",
-        )
-        assert found == []
-
-    def test_out_of_scope_module_exempt(self):
-        found = findings_for(
-            "float-equality",
-            "def f(x):\n    return x == 0.0\n",
-            path="src/repro/util/tables.py",
-        )
-        assert found == []
-
-    def test_test_modules_exempt(self):
-        found = findings_for(
-            "float-equality",
-            "def f(x):\n    return x == 0.0\n",
-            path="tests/test_lqn_solver.py",
-        )
-        assert found == []
-
-
-class TestMutableDefaults:
-    def test_fixture_defaults_flagged(self):
-        engine = AnalysisEngine(resolve_rules(["mutable-default-args"]))
-        found = engine.analyze_file(FIXTURES / "mutable_default.py")
-        assert [f.symbol for f in found] == ["accumulate", "tagged"]
-
-    def test_keyword_only_and_lambda_defaults_flagged(self):
-        found = findings_for(
-            "mutable-default-args",
-            """
-            def f(*, acc={}):
-                return acc
-
-            g = lambda xs=[]: xs
-            """,
-        )
-        assert [f.symbol for f in found] == ["f", "<lambda>"]
-
-    def test_none_sentinel_and_immutables_fine(self):
-        found = findings_for(
-            "mutable-default-args",
-            "def f(a=None, b=(), c=0, d='x'):\n    return a, b, c, d\n",
-        )
-        assert found == []
-
-
-class TestPublicApi:
-    def test_fixture_drift_both_directions(self):
-        engine = AnalysisEngine(resolve_rules(["public-api"]))
-        found = engine.analyze_file(FIXTURES / "api_drift.py")
-        by_symbol = {f.symbol: f for f in found}
-        assert set(by_symbol) == {"ghost", "stray"}
-        assert by_symbol["ghost"].severity is Severity.ERROR
-        assert by_symbol["stray"].severity is Severity.WARNING
-
-    def test_module_without_all_is_skipped(self):
-        found = findings_for(
-            "public-api",
-            "def public():\n    return 1\n",
-        )
-        assert found == []
-
-    def test_dynamic_all_stands_down(self):
-        found = findings_for(
-            "public-api",
-            """
-            __all__ = [n for n in ('a', 'b')]
-
-            def public():
-                return 1
-            """,
-        )
-        assert found == []
-
-    def test_star_import_disables_undefined_export_half(self):
-        found = findings_for(
-            "public-api",
-            """
-            from os.path import *
-
-            __all__ = ['join', 'basename']
-            """,
-        )
-        assert found == []
-
-    def test_reexports_count_as_definitions(self):
-        found = findings_for(
-            "public-api",
-            """
-            from repro.util.errors import ValidationError
-
-            __all__ = ['ValidationError']
-            """,
-        )
-        assert found == []
-
-
 class TestTraceDiscipline:
     def test_bare_span_fixture_findings(self):
         engine = AnalysisEngine(resolve_rules(["trace-discipline"]))

@@ -268,6 +268,34 @@ class TestEntryIndex:
         assert "cache" not in model.tasks
         assert model.entry_owner("db_read").name == "db"
 
+    def test_duplicate_entry_outside_add_task_is_rejected(self):
+        """Two tasks offering ``e`` would leave one of them unreachable."""
+        processors = {
+            "clients_p": Processor(name="clients_p", scheduling=Scheduling.DELAY),
+            "cpu": Processor(name="cpu"),
+        }
+        tasks = {
+            "A": Task(name="A", processor="cpu", entries=(Entry("e", 5.0),)),
+            "B": Task(name="B", processor="cpu", entries=(Entry("e", 7.0),)),
+            "clients": Task(
+                name="clients",
+                processor="clients_p",
+                entries=(Entry("browse", 0.0, calls=(Call("e", 1.0),)),),
+                is_reference=True,
+                multiplicity=10,
+                think_time_ms=1000.0,
+            ),
+        }
+        with pytest.raises(ModelError, match="duplicate entry 'e'"):
+            LqnModel(processors=processors, tasks=tasks)
+        # A task edited into ``tasks`` directly is caught by validate.
+        model = two_tier_model()
+        model.tasks["cache"] = Task(
+            name="cache", processor="db_cpu", entries=(Entry("db_read", 0.5),)
+        )
+        with pytest.raises(ModelError, match="duplicate entry 'db_read'"):
+            model.validate()
+
     def test_unknown_entry_still_raises(self):
         model = two_tier_model()
         with pytest.raises(ModelError, match="unknown entry 'nowhere'"):

@@ -1,8 +1,8 @@
 """Prepared networks against the per-model build they replaced, bit for bit.
 
 :class:`ReferenceSolver` below is ``LqnSolver.solve`` as it stood before
-networks were prepared once per structure: every solve lints and
-validates its model, flattens the call graph, builds and validates an
+networks were prepared once per structure: every solve validates its
+model, flattens the call graph, builds and validates an
 :class:`~repro.lqn.mva.MvaInput` with the model's populations, and
 packages the result from the model.  That path is kept here verbatim as
 test code (only ``_iterate_batch``, the fixed point both share, is
@@ -120,15 +120,7 @@ class ReferenceSolver(LqnSolver):
     # -- preparation ----------------------------------------------------------
 
     def _prepare(self, model: LqnModel):
-        """Lint/validate ``model`` and build its MVA network."""
-        if self.options.lint_models:
-            # Lazy import: repro.analysis imports this module's
-            # SolverOptions consumers; importing at module scope would
-            # cycle.
-            from repro.analysis.model_lint import check_model
-
-            with TRACER.span("lqn.lint"):
-                check_model(model)
+        """Validate ``model`` and build its MVA network."""
         model.validate()
         classes = model.reference_tasks()
         if not classes:

@@ -1,6 +1,5 @@
-"""The ``python -m repro.analysis project`` gate: exit codes and formats."""
+"""Exit codes of the ``python -m repro.analysis project`` gate."""
 
-import json
 import shutil
 import time
 from pathlib import Path
@@ -74,41 +73,6 @@ class TestExitCodes:
                 ]
             )
         assert excinfo.value.code == 2
-
-
-class TestFormats:
-    def test_json_format_is_machine_readable(self, capsys):
-        code = main(
-            [
-                "project",
-                str(FIXTURES / "project_entropy"),
-                "--no-baseline",
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["new"] == 3
-        assert all(f["rule_id"] == "REPRO-ENTROPY001" for f in doc["findings"])
-        assert any(f.get("witness") for f in doc["findings"])
-
-    def test_sarif_format_has_runs_and_codeflows(self, capsys):
-        code = main(
-            [
-                "project",
-                str(FIXTURES / "project_blocking"),
-                "--no-baseline",
-                "--format",
-                "sarif",
-            ]
-        )
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        results = doc["runs"][0]["results"]
-        assert {r["ruleId"] for r in results} == {"REPRO-BLOCK001"}
-        assert any("codeFlows" in r for r in results)
 
 
 class TestRepositoryGate:

@@ -141,7 +141,6 @@ class TestCleanAndSelection:
         ]
         stripped = type(finding)(
             rule_id=finding.rule_id,
-            rule_name=finding.rule_name,
             severity=finding.severity,
             path=finding.path,
             line=finding.line,

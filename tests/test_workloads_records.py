@@ -40,10 +40,9 @@ class TestRecordSet:
         with pytest.raises(ValidationError):
             RecordSet([])
 
-    def test_interarrival_and_duration(self):
+    def test_duration_spans_first_to_last_arrival(self):
         rs = RecordSet([_record(0.0), _record(15.0), _record(45.0)])
         assert rs.duration_ms == 45.0
-        assert list(rs.interarrival_ms()) == [15.0, 30.0]
 
     def test_think_times_are_per_client_gaps(self):
         rs = RecordSet(
