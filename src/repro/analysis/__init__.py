@@ -23,7 +23,7 @@ Quick use::
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.engine import AnalysisEngine, collect_python_files
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectAnalyzer, ProjectConfig, analyze_project
 from repro.analysis.reporters import render_text
 from repro.analysis.rules import Rule, SourceFile, all_rules, register, resolve_rules
@@ -31,7 +31,6 @@ from repro.analysis.rules import Rule, SourceFile, all_rules, register, resolve_
 __all__ = [
     "AnalysisEngine",
     "Finding",
-    "Severity",
     "Rule",
     "SourceFile",
     "all_rules",

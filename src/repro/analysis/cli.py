@@ -90,7 +90,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.list_rules:
         for rule in all_rules():
-            print(f"{rule.rule_id}  {rule.name:<22} {rule.severity}: {rule.description}")
+            print(f"{rule.rule_id}  {rule.name:<22} {rule.description}")
         return EXIT_CLEAN
 
     try:

@@ -15,7 +15,7 @@ import ast
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule, SourceFile, all_rules
 from repro.util.errors import ValidationError
 
@@ -107,7 +107,6 @@ class AnalysisEngine:
             return [
                 Finding(
                     rule_id=SYNTAX_RULE_ID,
-                    severity=Severity.ERROR,
                     path=path,
                     line=error.lineno or 0,
                     message=f"file does not parse: {error.msg}",

@@ -1,10 +1,10 @@
 """Findings: what every analyzer in :mod:`repro.analysis` reports.
 
-A :class:`Finding` is one diagnosed defect — a rule id, a severity, a
-``path:line`` anchor and a human-readable message.  Both halves of the
-framework (the per-file AST linter and the whole-program passes) speak
-in findings, so one baseline format, one reporter and one CI gate cover
-them all.
+A :class:`Finding` is one diagnosed defect — a rule id, a ``path:line``
+anchor and a human-readable message.  Every finding is an error: the CI
+gate fails on any new one.  Both halves of the framework (the per-file
+AST linter and the whole-program passes) speak in findings, so one
+baseline format, one reporter and one CI gate cover them all.
 
 Fingerprints deliberately exclude the line number: a baseline entry
 keyed on ``(rule, path, symbol, message)`` survives unrelated edits
@@ -23,27 +23,10 @@ inheriting an old suppression.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from dataclasses import dataclass, field
 
-__all__ = ["Severity", "Finding"]
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.
-
-    ``ERROR`` findings are defects (races, hidden entropy, deadlock
-    cycles); ``WARNING`` findings are hygiene debt.  The CI gate fails
-    on any *new* finding of either severity — the distinction matters to
-    the reader, not to the gate.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-
-    def __str__(self) -> str:
-        return self.value
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +41,6 @@ class Finding:
     """
 
     rule_id: str
-    severity: Severity
     path: str
     line: int
     message: str
@@ -83,7 +65,7 @@ class Finding:
         """The text reporter's one-line form."""
         where = f"{self.path}:{self.line}"
         subject = f" [{self.symbol}]" if self.symbol else ""
-        return f"{where}: {self.rule_id} {self.severity}:{subject} {self.message}"
+        return f"{where}: {self.rule_id}:{subject} {self.message}"
 
     def sort_key(self) -> tuple[str, int, str, str]:
         """Stable ordering: by file, then line, then rule, then message."""

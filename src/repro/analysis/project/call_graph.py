@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.engine import SYNTAX_RULE_ID, collect_python_files, display_path
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project.locks import (
     LOCK_CONSTRUCTORS,
     FunctionScan,
@@ -422,7 +422,6 @@ def build_index(paths: Sequence[str | Path]) -> ProjectIndex:
                 index.syntax_findings.append(
                     Finding(
                         rule_id=SYNTAX_RULE_ID,
-                        severity=Severity.ERROR,
                         path=shown,
                         line=error.lineno or 0,
                         message=f"file does not parse: {error.msg}",

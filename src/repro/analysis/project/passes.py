@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.analysis.project.call_graph import (
     CallGraph,
     CallSite,
@@ -283,7 +283,6 @@ def _lock_edges(
                         self_deadlocks.append(
                             Finding(
                                 rule_id=DEADLOCK_RULE_ID,
-                                severity=Severity.ERROR,
                                 path=fn.path,
                                 line=acq.line,
                                 message=(
@@ -315,7 +314,6 @@ def _lock_edges(
                                 self_deadlocks.append(
                                     Finding(
                                         rule_id=DEADLOCK_RULE_ID,
-                                        severity=Severity.ERROR,
                                         path=fn.path,
                                         line=site.line,
                                         message=(
@@ -457,7 +455,6 @@ def run_deadlock_pass(
         findings.append(
             Finding(
                 rule_id=DEADLOCK_RULE_ID,
-                severity=Severity.ERROR,
                 path=anchor.path,
                 line=anchor.line,
                 message=(
@@ -496,7 +493,6 @@ def run_blocking_pass(
                     findings.append(
                         Finding(
                             rule_id=BLOCK_RULE_ID,
-                            severity=Severity.ERROR,
                             path=fn.path,
                             line=site.line,
                             message=(
@@ -520,7 +516,6 @@ def run_blocking_pass(
                     findings.append(
                         Finding(
                             rule_id=BLOCK_RULE_ID,
-                            severity=Severity.ERROR,
                             path=fn.path,
                             line=site.line,
                             message=(
@@ -562,7 +557,6 @@ def run_entropy_pass(
             findings.append(
                 Finding(
                     rule_id=ENTROPY_RULE_ID,
-                    severity=Severity.ERROR,
                     path=fn.path,
                     line=sink.line,
                     message=(

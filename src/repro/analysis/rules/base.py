@@ -1,6 +1,6 @@
 """Rule protocol and registry for the AST code linter.
 
-A rule is a small class with an id, a name, a default severity and a
+A rule is a small class with an id, a name, a description and a
 ``check`` method that walks one parsed file and yields findings.  Rules
 self-register via the :func:`register` decorator at import time (the
 :mod:`repro.analysis.rules` package imports every rule module), so the
@@ -20,7 +20,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.util.errors import ValidationError
 
 __all__ = ["SourceFile", "Rule", "register", "all_rules", "resolve_rules"]
@@ -38,7 +38,7 @@ class SourceFile:
 class Rule:
     """Base class for AST lint rules.
 
-    Subclasses set the four class attributes and implement
+    Subclasses set the three class attributes and implement
     :meth:`check`; :meth:`applies_to` lets path-scoped rules (e.g.
     rng-discipline, which exempts the sanctioned stream factory) opt
     out of files they have no opinion about.
@@ -46,7 +46,6 @@ class Rule:
 
     rule_id: str = "REPRO-XXX000"
     name: str = "abstract-rule"
-    severity: Severity = Severity.WARNING
     description: str = ""
 
     def applies_to(self, path: str) -> bool:
@@ -64,13 +63,11 @@ class Rule:
         message: str,
         *,
         symbol: str = "",
-        severity: Severity | None = None,
     ) -> Finding:
         """Build a finding anchored at ``node`` (or a literal line number)."""
         line = node if isinstance(node, int) else getattr(node, "lineno", 0)
         return Finding(
             rule_id=self.rule_id,
-            severity=severity if severity is not None else self.severity,
             path=sf.path,
             line=line,
             message=message,

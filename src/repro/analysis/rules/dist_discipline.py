@@ -27,7 +27,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.findings import Severity
 from repro.analysis.rules.base import Rule, SourceFile, register
 
 __all__ = ["DistDisciplineRule"]
@@ -49,7 +48,6 @@ class DistDisciplineRule(Rule):
 
     rule_id = "REPRO-DIST001"
     name = "dist-discipline"
-    severity = Severity.ERROR
     description = (
         "distribution sampling in workload modules must take an explicit "
         "rng (spawn_rng stream); no sample*() without an rng parameter, "

@@ -28,7 +28,6 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.findings import Severity
 from repro.analysis.rules.base import Rule, SourceFile, register
 
 __all__ = ["LockDisciplineRule"]
@@ -190,7 +189,6 @@ class LockDisciplineRule(Rule):
 
     rule_id = "REPRO-LOCK001"
     name = "lock-discipline"
-    severity = Severity.ERROR
     description = (
         "attribute guarded by a `with self._lock:` block elsewhere in the "
         "class is accessed outside the lock (lost-update / torn-read race)"

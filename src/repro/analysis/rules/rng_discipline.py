@@ -25,7 +25,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.findings import Severity
 from repro.analysis.rules.base import Rule, SourceFile, register
 
 __all__ = ["RngDisciplineRule"]
@@ -42,7 +41,6 @@ class RngDisciplineRule(Rule):
 
     rule_id = "REPRO-RNG001"
     name = "rng-discipline"
-    severity = Severity.ERROR
     description = (
         "bare random.* / np.random.* call outside repro.util.rng; draw from "
         "a named RngStreams sub-stream so runs reproduce under a seed"

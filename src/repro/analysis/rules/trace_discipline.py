@@ -26,7 +26,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.findings import Severity
 from repro.analysis.rules.base import Rule, SourceFile, register
 
 __all__ = ["TraceDisciplineRule"]
@@ -65,7 +64,6 @@ class TraceDisciplineRule(Rule):
 
     rule_id = "REPRO-TRC001"
     name = "trace-discipline"
-    severity = Severity.ERROR
     description = (
         "span opened without a with block (or driven by bare begin()/end()); "
         "use 'with tracer.span(...):' so the END event survives exceptions"

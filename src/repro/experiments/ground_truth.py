@@ -8,8 +8,9 @@ fresh runs).
 
 Everything here is keyed by the full parameter set, so changing the scenario
 invalidates naturally.  Disk entries are also keyed by a digest of the
-simulator's and workload package's sources, so a code change to either can
-never be served results the old code measured.
+sources that produce them (the simulator, the workload and server packages
+and the LQN calibration), so a code change to any of them can never be
+served results the old code measured.
 """
 
 from __future__ import annotations
@@ -38,19 +39,26 @@ __all__ = [
 
 _MEMORY: dict[Any, Any] = {}
 
-# Packages whose code determines every measured value.
+# Packages and modules whose code determines every disk-cached value:
+# measurements are keyed by server *name*, so the catalogue's specs and the
+# benchmark are part of what a key means.
 _SOURCE_DIRS: tuple[Path, ...] = tuple(
-    Path(__file__).resolve().parents[1] / package for package in ("simulation", "workload")
+    Path(__file__).resolve().parents[1] / source
+    for source in ("simulation", "workload", "servers", "lqn/calibration.py")
 )
 
 
 @functools.cache
 def _source_digest() -> str:
-    """sha256 over the ``.py`` files under :data:`_SOURCE_DIRS` (computed once)."""
+    """sha256 over the ``.py`` files of :data:`_SOURCE_DIRS` (computed once).
+
+    An entry is a package directory (every ``.py`` under it) or one module.
+    """
     digest = hashlib.sha256()
-    for directory in _SOURCE_DIRS:
-        for path in sorted(directory.rglob("*.py")):
-            digest.update(path.relative_to(directory.parent).as_posix().encode("utf-8"))
+    for source in _SOURCE_DIRS:
+        paths = [source] if source.is_file() else sorted(source.rglob("*.py"))
+        for path in paths:
+            digest.update(path.relative_to(source.parent).as_posix().encode("utf-8"))
             digest.update(b"\0")
             digest.update(path.read_bytes())
             digest.update(b"\0")
@@ -176,23 +184,20 @@ def lqn_calibration(*, fast: bool = False) -> LqnCalibration:
 
 def lqn_mix_observations(*, fast: bool = False) -> list[tuple[float, float]]:
     """Relationship 3's anchors: LQN max throughputs at 0 %/25 % buy on
-    AppServF (the paper's 189 / 158 req/s analogues)."""
+    AppServF (the paper's 189 / 158 req/s analogues).
+
+    Not cached: two bottleneck sums over the cached calibration cost less
+    than keying them on the builder and hybrid sources they also read.
+    """
     from repro.hybrid.model import lqn_max_throughput
     from repro.lqn.builder import build_trade_model
 
-    key = ("mix_obs", APP_SERV_F.name, fast, SEED)
-
-    def compute() -> list[tuple[float, float]]:
-        parameters = lqn_calibration(fast=fast).to_model_parameters()
-        observations = []
-        for buy_fraction in (0.0, 0.25):
-            model = build_trade_model(
-                APP_SERV_F, mixed_workload(400, buy_fraction), parameters
-            )
-            observations.append((buy_fraction, lqn_max_throughput(model)))
-        return observations
-
-    return _cached(key, compute)
+    parameters = lqn_calibration(fast=fast).to_model_parameters()
+    observations = []
+    for buy_fraction in (0.0, 0.25):
+        model = build_trade_model(APP_SERV_F, mixed_workload(400, buy_fraction), parameters)
+        observations.append((buy_fraction, lqn_max_throughput(model)))
+    return observations
 
 
 # Re-exported so experiment modules only import ground_truth.

@@ -47,9 +47,7 @@ from repro.historical.scaling import MaxThroughputScaling, ServerCalibration
 from repro.historical.mix import BuyMixModel
 from repro.historical.throughput import ThroughputModel
 from repro.historical.model import HistoricalModel
-from repro.historical.class_deviation import ClassDeviationModel, demand_ratio_factor
 from repro.historical.online import OnlineCalibrationSession, RecordedPoint
-from repro.historical.persistence import load_store_csv, save_store_csv
 from repro.historical.transient import TransientModel, bucketed_response_curve
 
 __all__ = [
@@ -71,12 +69,8 @@ __all__ = [
     "BuyMixModel",
     "ThroughputModel",
     "HistoricalModel",
-    "ClassDeviationModel",
-    "demand_ratio_factor",
     "OnlineCalibrationSession",
     "RecordedPoint",
-    "save_store_csv",
-    "load_store_csv",
     "TransientModel",
     "bucketed_response_curve",
 ]

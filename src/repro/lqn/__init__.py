@@ -56,12 +56,6 @@ from repro.lqn.mva import (
 from repro.lqn.results import LqnSolution
 from repro.lqn.solver import LqnSolver, SolverOptions
 from repro.lqn.builder import build_trade_model, TradeModelParameters
-from repro.lqn.serialization import (
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-)
 from repro.lqn.calibration import (
     CalibratedRequestType,
     LqnCalibration,
@@ -101,8 +95,4 @@ __all__ = [
     "CalibratedRequestType",
     "LqnCalibration",
     "calibrate_from_simulator",
-    "model_to_dict",
-    "model_from_dict",
-    "save_model",
-    "load_model",
 ]

@@ -27,12 +27,6 @@ from repro.resource_manager.allocation import (
     ManagedServer,
     allocate,
 )
-from repro.resource_manager.routing import (
-    RoutingDecision,
-    route_equal_response_times,
-    route_proportional_to_capacity,
-    route_round_robin,
-)
 from repro.resource_manager.runtime import RuntimeOutcome, evaluate_runtime
 from repro.resource_manager.slack import (
     LoadPointMetrics,
@@ -50,10 +44,6 @@ __all__ = [
     "Allocation",
     "ManagedServer",
     "allocate",
-    "RoutingDecision",
-    "route_proportional_to_capacity",
-    "route_equal_response_times",
-    "route_round_robin",
     "RuntimeOutcome",
     "evaluate_runtime",
     "LoadPointMetrics",

@@ -22,7 +22,7 @@ from repro.util.validation import check_positive, check_positive_int
 from repro.workload.service_class import ServiceClass
 from repro.workload.trade import typical_workload
 
-__all__ = ["BenchmarkResult", "measure_max_throughput", "request_speed_ratio"]
+__all__ = ["BenchmarkResult", "measure_max_throughput"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,15 +84,3 @@ def measure_max_throughput(
         runs=runs,
         benchmark_time_s=_time.perf_counter() - start,
     )
-
-
-def request_speed_ratio(
-    new: ServerArchitecture,
-    established: ServerArchitecture,
-    **benchmark_kwargs: object,
-) -> float:
-    """Benchmarked request-processing speed of ``new`` relative to
-    ``established`` (max-throughput ratio under the typical workload)."""
-    new_result = measure_max_throughput(new, **benchmark_kwargs)  # type: ignore[arg-type]
-    est_result = measure_max_throughput(established, **benchmark_kwargs)  # type: ignore[arg-type]
-    return new_result.max_throughput_req_per_s / est_result.max_throughput_req_per_s

@@ -51,6 +51,16 @@ def bucket_quantile(
     :class:`LatencyHistogram` and its :class:`HistogramSnapshot`
     delegate here, so the live and exported percentiles share one
     estimator.
+
+    This is the bounded-memory estimator; exact sample quantiles are
+    :meth:`repro.simulation.metrics.ResponseTimeStats.percentile`'s
+    linear interpolation.  Error: the estimate lies in the bucket holding
+    the ``ceil(q * count)``-th smallest observation, so it is within one
+    bucket width of that order statistic.  The interpolated quantile
+    differs from it by at most the gap to the next order statistic, which
+    closes as ``count`` grows.  With :data:`DEFAULT_LATENCY_BUCKETS_S`,
+    whose bounds are 10^(1/3) apart, a bucket above 1 µs is at most 1.16
+    times its lower bound wide.
     """
     require(0.0 <= q <= 1.0, "quantile must be in [0, 1]")
     if count == 0:

@@ -55,7 +55,13 @@ class ResponseTimeStats:
         return float(np.std(self.samples, ddof=1))
 
     def percentile(self, p: float) -> float:
-        """The ``p``-quantile of response time, ``p`` in [0, 1]."""
+        """The ``p``-quantile of response time, ``p`` in [0, 1].
+
+        Linear interpolation between the order statistics at rank
+        ``p * (n - 1)`` (``np.percentile``'s default): the one sample
+        quantile definition, shared with
+        :meth:`repro.trace.summary.SpanStats.percentile_ms`.
+        """
         check_fraction(p, "p")
         if not self.samples:
             return float("nan")

@@ -4,8 +4,9 @@ This is the backend of ``python -m repro.trace summarize``: given the
 events of one trace it reports, per span name —
 
 * **count** and **total** wall time;
-* **p50/p95** span durations (exact, from the recorded durations — the
-  event volume of one trace is small enough not to need sketching);
+* **p50/p95** span durations (exact sample quantiles of the recorded
+  durations, the simulator's definition — the event volume of one trace
+  is small enough not to need sketching);
 * **self time** (duration minus time spent in child spans) vs **child
   time**, which is what localises cost in a hierarchy: a
   ``service.request`` span is wide, but if its self time is nil the
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from repro.trace.events import END, INSTANT, TraceEvent
 from repro.util.tables import format_table
@@ -47,12 +50,16 @@ class SpanStats:
         return self.total_ms - self.self_ms
 
     def percentile_ms(self, q: float) -> float:
-        """Exact ``q``-quantile of the recorded durations (0 when empty)."""
+        """The ``q``-quantile of the recorded durations (0 when empty).
+
+        Linear interpolation between the order statistics at rank
+        ``q * (n - 1)`` (``np.percentile``'s default), the one sample
+        quantile definition shared with
+        :meth:`repro.simulation.metrics.ResponseTimeStats.percentile`.
+        """
         if not self.durations_ms:
             return 0.0
-        ordered = sorted(self.durations_ms)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
+        return float(np.percentile(self.durations_ms, 100.0 * q))
 
 
 @dataclass(frozen=True)

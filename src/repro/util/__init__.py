@@ -9,15 +9,9 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.clock import SYSTEM_CLOCK, Clock, FakeClock
-from repro.util.floats import DEFAULT_ABS_TOL, floats_equal, is_negligible
+from repro.util.floats import DEFAULT_ABS_TOL, is_negligible
 from repro.util.rng import RngStreams, spawn_rng
-from repro.util.units import (
-    MS_PER_S,
-    ms_to_s,
-    s_to_ms,
-    per_s_to_per_ms,
-    per_ms_to_per_s,
-)
+from repro.util.units import MS_PER_S, ms_to_s, s_to_ms
 
 __all__ = [
     "ReproError",
@@ -32,11 +26,8 @@ __all__ = [
     "FakeClock",
     "SYSTEM_CLOCK",
     "DEFAULT_ABS_TOL",
-    "floats_equal",
     "is_negligible",
     "MS_PER_S",
     "ms_to_s",
     "s_to_ms",
-    "per_s_to_per_ms",
-    "per_ms_to_per_s",
 ]

@@ -4,15 +4,13 @@ Exact ``==``/``!=`` on floats is almost always wrong in the numerical
 parts of this codebase: residuals that are mathematically zero come back
 as ``1e-17`` after a least-squares solve, and a branch keyed on
 ``x == 0.0`` silently takes the wrong arm.  These helpers make the
-intent — "is this quantity negligible?" / "are these two values the
-same up to noise?" — explicit.
+intent — "is this quantity negligible?" — explicit, and snap virtual
+clock instants back onto their tick grid.
 """
 
 from __future__ import annotations
 
-import math
-
-__all__ = ["DEFAULT_ABS_TOL", "floats_equal", "is_negligible", "quantize_to_tick"]
+__all__ = ["DEFAULT_ABS_TOL", "is_negligible", "quantize_to_tick"]
 
 # Far below any physically meaningful demand, rate or residual in the
 # models (which live around 1e-3 .. 1e3), far above float64 rounding
@@ -46,13 +44,3 @@ def quantize_to_tick(value: float, tick_s: float) -> float:
     if tick_s <= 0:
         raise ValueError(f"tick_s must be positive, got {tick_s}")
     return round(round(value / tick_s) * tick_s, 9)
-
-
-def floats_equal(a: float, b: float, *, rel_tol: float = 1e-9, abs_tol: float = DEFAULT_ABS_TOL) -> bool:
-    """Whether ``a`` and ``b`` agree up to relative/absolute tolerance.
-
-    Thin wrapper over :func:`math.isclose` with an absolute floor, so
-    comparisons near zero behave (plain ``isclose`` has ``abs_tol=0``
-    and calls nothing close to ``0.0``).
-    """
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)

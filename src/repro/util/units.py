@@ -28,16 +28,6 @@ def ms_to_s(millis: float) -> float:
     return float(millis) / MS_PER_S
 
 
-def per_s_to_per_ms(rate_per_s: float) -> float:
-    """Convert a rate in events/second to events/millisecond."""
-    return float(rate_per_s) / MS_PER_S
-
-
-def per_ms_to_per_s(rate_per_ms: float) -> float:
-    """Convert a rate in events/millisecond to events/second."""
-    return float(rate_per_ms) * MS_PER_S
-
-
 def throughput_req_per_s(completions: int, duration_ms: float) -> float:
     """Throughput in req/s of ``completions`` requests over ``duration_ms``.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from repro.util.errors import ValidationError
 
@@ -88,15 +88,6 @@ def check_non_empty(seq: Sequence[T], name: str) -> Sequence[T]:
     if len(seq) == 0:
         raise ValidationError(f"{name} must not be empty")
     return seq
-
-
-def check_unique(items: Iterable[T], name: str) -> None:
-    """Raise if ``items`` contains duplicates (items must be hashable)."""
-    seen: set[T] = set()
-    for item in items:
-        if item in seen:
-            raise ValidationError(f"duplicate {name}: {item!r}")
-        seen.add(item)
 
 
 def check_probabilities_sum_to_one(values: Sequence[float], name: str, *, tol: float = 1e-9) -> None:

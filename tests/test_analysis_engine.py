@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     AnalysisEngine,
-    Severity,
     apply_baseline,
     collect_python_files,
     load_baseline,
@@ -86,7 +85,6 @@ class TestEngine:
     def test_syntax_error_becomes_a_finding(self):
         found = AnalysisEngine().analyze_source("def broken(:\n", "src/repro/x.py")
         assert [f.rule_id for f in found] == ["REPRO-SYNTAX"]
-        assert found[0].severity is Severity.ERROR
 
     def test_findings_are_sorted_and_stable(self):
         engine = AnalysisEngine()
@@ -118,9 +116,9 @@ class TestFingerprints:
         assert a[0].fingerprint() == b[0].fingerprint()
 
     def test_fingerprint_depends_on_path_and_rule(self):
-        f1 = Finding("R1", Severity.ERROR, "a.py", 1, "m")
-        f2 = Finding("R1", Severity.ERROR, "b.py", 1, "m")
-        f3 = Finding("R2", Severity.ERROR, "a.py", 1, "m")
+        f1 = Finding("R1", "a.py", 1, "m")
+        f2 = Finding("R1", "b.py", 1, "m")
+        f3 = Finding("R2", "a.py", 1, "m")
         assert len({f1.fingerprint(), f2.fingerprint(), f3.fingerprint()}) == 3
 
 
@@ -145,7 +143,7 @@ class TestBaseline:
         assert suppressed == len(found) - 1
 
     def test_counts_cap_duplicate_fingerprints(self):
-        finding = Finding("R1", Severity.ERROR, "a.py", 1, "m")
+        finding = Finding("R1", "a.py", 1, "m")
         twice = [finding, finding]
         new, suppressed = apply_baseline(twice, {finding.fingerprint(): 1})
         assert suppressed == 1
@@ -175,12 +173,11 @@ class TestBaseline:
 
 
 class TestReporters:
-    def test_text_summarises_severities_and_suppression(self):
-        f = Finding("R1", Severity.ERROR, "a.py", 3, "boom", symbol="S")
+    def test_text_summarises_findings_and_suppression(self):
+        f = Finding("R1", "a.py", 3, "boom", symbol="S")
         text = render_text([f], suppressed=2)
-        assert "a.py:3" in text and "R1" in text and "[S]" in text
-        assert "1 new finding(s): 1 error(s), 0 warning(s)" in text
-        assert "2 suppressed" in text
+        assert "a.py:3: R1: [S] boom" in text
+        assert "1 new finding(s) (2 suppressed by baseline)" in text
 
     def test_text_clean(self):
         assert "clean" in render_text([], suppressed=0)

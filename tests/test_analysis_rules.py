@@ -9,7 +9,7 @@ the committed baseline's contents).
 from pathlib import Path
 from textwrap import dedent
 
-from repro.analysis import AnalysisEngine, Severity
+from repro.analysis import AnalysisEngine
 from repro.analysis.rules.base import resolve_rules
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
@@ -27,7 +27,6 @@ class TestLockDiscipline:
         found = engine.analyze_file(FIXTURES / "racy_timer.py")
         assert [f.rule_id for f in found] == ["REPRO-LOCK001"] * 2
         assert {f.symbol for f in found} == {"RacyTimer.record"}
-        assert {f.severity for f in found} == {Severity.ERROR}
         assert any("evaluations" in f.message for f in found)
         assert any("total_time_s" in f.message for f in found)
 
@@ -217,7 +216,6 @@ class TestTraceDiscipline:
             "span.begin",
             "span.end",
         ]
-        assert {f.severity for f in found} == {Severity.ERROR}
 
     def test_managed_span_fixture_is_silent(self):
         engine = AnalysisEngine(resolve_rules(["trace-discipline"]))
@@ -307,7 +305,6 @@ class TestDistDiscipline:
         found = engine.analyze_file(FIXTURES / "workloads_hidden_entropy.py")
         assert [f.rule_id for f in found] == ["REPRO-DIST001"] * 2
         assert {f.symbol for f in found} == {"sample_think_times", "rvs"}
-        assert {f.severity for f in found} == {Severity.ERROR}
 
     def test_seeded_twin_is_silent(self):
         engine = AnalysisEngine(resolve_rules(["dist-discipline"]))

@@ -1,6 +1,6 @@
 """Tests for the memoised ground-truth measurement layer."""
 
-import os
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +66,7 @@ class TestDerivedCaches:
 
 
 class TestSourceDigestKey:
-    """Disk entries are keyed by the simulator/workload sources, so a code
+    """Disk entries are keyed by the sources that produce them, so a code
     change there cannot be served results the old code measured."""
 
     @pytest.fixture
@@ -108,5 +108,36 @@ class TestSourceDigestKey:
         assert gt._source_digest() != before
 
     def test_real_digest_covers_simulation_and_workload(self):
-        assert [d.name for d in gt._SOURCE_DIRS] == ["simulation", "workload"]
-        assert all((d / "__init__.py").is_file() for d in gt._SOURCE_DIRS)
+        assert [d.name for d in gt._SOURCE_DIRS] == [
+            "simulation",
+            "workload",
+            "servers",
+            "calibration.py",
+        ]
+        assert all(d.exists() for d in gt._SOURCE_DIRS)
+
+    def test_real_digest_reads_the_server_specs_benchmark_and_calibration(
+        self, monkeypatch
+    ):
+        """Measurements are keyed by server name and the LQN calibration is
+        disk-cached, so the catalogue, the max-throughput benchmark and the
+        calibration module must all move the digest."""
+        read: list[Path] = []
+        original = Path.read_bytes
+
+        def recording_read_bytes(path: Path) -> bytes:
+            read.append(path)
+            return original(path)
+
+        monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+        gt._source_digest.cache_clear()
+        try:
+            gt._source_digest()
+        finally:
+            gt._source_digest.cache_clear()
+        names = {path.relative_to(path.parents[1]).as_posix() for path in read}
+        assert {
+            "servers/catalogue.py",
+            "servers/benchmarking.py",
+            "lqn/calibration.py",
+        } <= names

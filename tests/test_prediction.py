@@ -1,5 +1,5 @@
-"""Tests for the cross-method prediction API: accuracy metric, method
-profiles, and the predictor wrappers."""
+"""Tests for the cross-method prediction API: accuracy metric and the
+predictor wrappers."""
 
 import pytest
 
@@ -9,11 +9,6 @@ from repro.prediction.accuracy import (
     mean_accuracy,
     paper_overall_accuracy,
     region_of,
-)
-from repro.prediction.comparison import (
-    METHOD_PROFILES,
-    MeasuredQuantities,
-    evaluation_matrix,
 )
 from repro.util.errors import ValidationError
 
@@ -79,30 +74,6 @@ class TestAccuracyReport:
         report.add(100, 1000.0, 90.0, 100.0)
         with pytest.raises(ValidationError):
             _ = report.upper_accuracy
-
-
-class TestComparison:
-    def test_profiles_cover_three_methods(self):
-        assert set(METHOD_PROFILES) == {"historical", "layered_queuing", "hybrid"}
-
-    def test_section_8_findings_encoded(self):
-        assert METHOD_PROFILES["historical"].can_model_caching is True
-        assert METHOD_PROFILES["layered_queuing"].can_model_caching is False
-        assert METHOD_PROFILES["hybrid"].can_model_caching is False
-        assert METHOD_PROFILES["historical"].can_predict_percentiles_directly is True
-        assert METHOD_PROFILES["layered_queuing"].can_predict_percentiles_directly is False
-
-    def test_matrix_merges_measured_quantities(self):
-        rows = evaluation_matrix(
-            {"historical": MeasuredQuantities(mrt_accuracy_established=0.891)}
-        )
-        by_method = {row["method"]: row for row in rows}
-        assert by_method["historical"]["mrt_accuracy_established"] == 0.891
-        assert by_method["hybrid"]["mrt_accuracy_established"] is None
-
-    def test_matrix_without_measurements(self):
-        rows = evaluation_matrix()
-        assert len(rows) == 3
 
 
 class TestPredictorWrappers:

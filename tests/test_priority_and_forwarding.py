@@ -122,11 +122,3 @@ class TestForwardingCalls:
         assert forwarded.processor_utilisation["back_cpu"] == pytest.approx(
             synchronous.processor_utilisation["back_cpu"], rel=0.5
         )
-
-    def test_serialization_round_trips_forwarding(self):
-        from repro.lqn.serialization import model_from_dict, model_to_dict
-
-        model = forwarding_model(CallKind.FORWARDING)
-        rebuilt = model_from_dict(model_to_dict(model))
-        call = rebuilt.entry("front_work").calls[0]
-        assert call.kind is CallKind.FORWARDING

@@ -141,7 +141,6 @@ class TestCleanAndSelection:
         ]
         stripped = type(finding)(
             rule_id=finding.rule_id,
-            severity=finding.severity,
             path=finding.path,
             line=finding.line,
             message=finding.message,

@@ -12,7 +12,10 @@ from repro.resource_manager.allocation import Allocation, ManagedServer, allocat
 from repro.resource_manager.runtime import evaluate_runtime
 from repro.resource_manager.sla import ClassWorkload, class_rt_factor
 from repro.resource_manager.slack import SlackAnalysis, sweep_loads
+from repro.servers.catalogue import APP_SERV_F, APP_SERV_S
+from repro.simulation.system import SimulationConfig, simulate_deployment
 from repro.util.errors import ValidationError
+from repro.workload.trade import mixed_workload
 
 
 class StepPredictor:
@@ -67,6 +70,66 @@ class TestClassRtFactor:
         b = 0.3
         mean = b * class_rt_factor(True, b) + (1 - b) * class_rt_factor(False, b)
         assert mean == pytest.approx(1.0)
+
+
+def measured_class_ratios(result) -> dict[str, float]:
+    """Each class's measured mean response over the workload mean."""
+    return {
+        name: class_mean / result.mean_response_ms
+        for name, class_mean in result.per_class_mean_ms.items()
+    }
+
+
+class TestClassRtFactorAgainstSimulator:
+    """Algorithm 1 scales a workload-mean prediction by ``class_rt_factor``
+    to judge each class against its own SLA goal (section 4.3's deviation
+    remark).  These runs check that premise on the simulated testbed: the
+    measured class/mean ratio tracks the demand ratio and is stable across
+    loads and architectures."""
+
+    @pytest.fixture(scope="class")
+    def established(self):
+        return [
+            measured_class_ratios(
+                simulate_deployment(
+                    APP_SERV_F,
+                    mixed_workload(n, 0.25),
+                    SimulationConfig(duration_s=35.0, warmup_s=8.0, seed=seed),
+                )
+            )
+            for seed, n in ((3, 400), (4, 700))
+        ]
+
+    @staticmethod
+    def mean_ratio(runs, name: str) -> float:
+        return sum(run[name] for run in runs) / len(runs)
+
+    def test_buy_ratio_above_browse(self, established):
+        assert self.mean_ratio(established, "buy") > self.mean_ratio(established, "browse")
+
+    def test_ratios_stable_across_loads(self, established):
+        """The deviation is a property of the request mix, roughly
+        constant across loads."""
+        for name, bound in (("browse", 0.15), ("buy", 0.4)):
+            ratios = [run[name] for run in established]
+            assert max(ratios) - min(ratios) < bound
+
+    def test_measured_ratio_tracks_class_rt_factor(self, established):
+        for name, is_buy in (("buy", True), ("browse", False)):
+            assert self.mean_ratio(established, name) == pytest.approx(
+                class_rt_factor(is_buy, 0.25), rel=0.3
+            )
+
+    def test_ratio_stable_across_architectures(self, established):
+        """The ratio measured on the new server matches the established one."""
+        new = measured_class_ratios(
+            simulate_deployment(
+                APP_SERV_S,
+                mixed_workload(300, 0.25),
+                SimulationConfig(duration_s=35.0, warmup_s=8.0, seed=5),
+            )
+        )
+        assert new["buy"] == pytest.approx(self.mean_ratio(established, "buy"), rel=0.2)
 
 
 class TestAllocation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.servers.architecture import DatabaseArchitecture, ServerArchitecture
-from repro.servers.benchmarking import measure_max_throughput, request_speed_ratio
+from repro.servers.benchmarking import measure_max_throughput
 from repro.servers.catalogue import (
     ALL_APP_SERVERS,
     APP_SERV_F,
@@ -76,7 +76,9 @@ class TestBenchmarking:
 
     @pytest.mark.slow
     def test_speed_ratio_close_to_catalogue(self):
-        ratio = request_speed_ratio(
-            APP_SERV_S, APP_SERV_F, duration_s=25.0, warmup_s=6.0, seed=3
+        new, established = (
+            measure_max_throughput(arch, duration_s=25.0, warmup_s=6.0, seed=3)
+            for arch in (APP_SERV_S, APP_SERV_F)
         )
+        ratio = new.max_throughput_req_per_s / established.max_throughput_req_per_s
         assert ratio == pytest.approx(86 / 186, rel=0.08)

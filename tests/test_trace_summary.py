@@ -50,9 +50,9 @@ class TestSummarize:
             with tracer.span("op"):
                 clock.advance(ms / 1000.0)
         op = summarize_events(sink.events()).spans["op"]
-        # Nearest-rank over the 5 sorted durations.
+        # Linear interpolation: p95 sits at rank 0.95 * 4 = 3.8 of 0..4.
         assert round(op.percentile_ms(0.50), 6) == 30.0
-        assert round(op.percentile_ms(0.95), 6) == 50.0
+        assert round(op.percentile_ms(0.95), 6) == 48.0
         assert round(op.percentile_ms(0.0), 6) == 10.0
 
     def test_critical_path_descends_longest_children(self):

@@ -8,8 +8,6 @@ from repro.util.errors import ValidationError
 from repro.util.units import (
     MS_PER_S,
     ms_to_s,
-    per_ms_to_per_s,
-    per_s_to_per_ms,
     s_to_ms,
     throughput_req_per_s,
 )
@@ -25,15 +23,6 @@ def test_seconds_round_trip():
 
 def test_s_to_ms_value():
     assert s_to_ms(7.0) == 7000.0
-
-
-def test_rate_round_trip():
-    assert per_ms_to_per_s(per_s_to_per_ms(186.0)) == pytest.approx(186.0)
-
-
-def test_rate_conversion_direction():
-    # 186 requests per second is 0.186 requests per millisecond.
-    assert per_s_to_per_ms(186.0) == pytest.approx(0.186)
 
 
 class TestThroughput:

@@ -17,7 +17,6 @@ from repro.util.validation import (
     check_positive,
     check_positive_int,
     check_probabilities_sum_to_one,
-    check_unique,
     require,
 )
 
@@ -131,13 +130,6 @@ class TestCollections:
     def test_non_empty_rejects_empty(self):
         with pytest.raises(ValidationError, match="empty"):
             check_non_empty([], "xs")
-
-    def test_unique_accepts_distinct(self):
-        check_unique(["a", "b"], "name")
-
-    def test_unique_rejects_duplicates(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            check_unique(["a", "a"], "name")
 
 
 class TestProbabilities:
