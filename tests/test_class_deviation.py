@@ -1,73 +1,23 @@
-"""Tests for per-class response-time deviation factors (section 4.3)."""
+"""Tests for per-class response-time deviation factors (section 4.3).
+
+A class's factor is its per-request demand over the workload's mean demand;
+``class_rt_factor`` computes it from the workload's buy fraction.
+"""
 
 import pytest
 
-from repro.historical.class_deviation import ClassDeviationModel, demand_ratio_factor
-from repro.servers.catalogue import APP_SERV_F, APP_SERV_S
-from repro.simulation.system import SimulationConfig, simulate_deployment
-from repro.util.errors import CalibrationError
-from repro.workload.trade import BROWSE_CLASS, BUY_CLASS, mixed_workload
+from repro.resource_manager.sla import class_rt_factor
 
 
 class TestDemandRatioFactor:
     def test_pure_workload_factor_is_one(self):
-        assert demand_ratio_factor(BROWSE_CLASS, {BROWSE_CLASS: 100}) == pytest.approx(1.0)
+        assert class_rt_factor(False, 0.0) == pytest.approx(1.0)
+        assert class_rt_factor(True, 1.0) == pytest.approx(1.0)
 
     def test_buy_factor_above_one_in_mixed_load(self):
-        workload = {BROWSE_CLASS: 75, BUY_CLASS: 25}
-        assert demand_ratio_factor(BUY_CLASS, workload) > 1.0
-        assert demand_ratio_factor(BROWSE_CLASS, workload) < 1.0
+        assert class_rt_factor(True, 0.25) > 1.0
+        assert class_rt_factor(False, 0.25) < 1.0
 
     def test_factors_mix_to_one(self):
-        workload = {BROWSE_CLASS: 75, BUY_CLASS: 25}
-        mixed = 0.75 * demand_ratio_factor(BROWSE_CLASS, workload) + 0.25 * (
-            demand_ratio_factor(BUY_CLASS, workload)
-        )
+        mixed = 0.75 * class_rt_factor(False, 0.25) + 0.25 * class_rt_factor(True, 0.25)
         assert mixed == pytest.approx(1.0)
-
-    def test_empty_workload_rejected(self):
-        with pytest.raises(Exception):
-            demand_ratio_factor(BROWSE_CLASS, {})
-
-
-class TestClassDeviationModel:
-    @pytest.fixture(scope="class")
-    def calibrated(self):
-        model = ClassDeviationModel()
-        for seed, n in ((3, 400), (4, 700)):
-            config = SimulationConfig(duration_s=35.0, warmup_s=8.0, seed=seed)
-            model.observe(
-                simulate_deployment(APP_SERV_F, mixed_workload(n, 0.25), config)
-            )
-        return model
-
-    def test_buy_factor_above_browse(self, calibrated):
-        assert calibrated.factor("buy") > calibrated.factor("browse")
-
-    def test_factors_stable_across_observations(self, calibrated):
-        """The paper's premise: the deviation is a property of the request
-        mix, roughly constant across loads."""
-        assert calibrated.factor_spread("browse") < 0.15
-        assert calibrated.factor_spread("buy") < 0.4
-
-    def test_measured_factor_tracks_demand_ratio(self, calibrated):
-        workload = mixed_workload(100, 0.25)
-        estimated = demand_ratio_factor(BUY_CLASS, workload)
-        assert calibrated.factor("buy") == pytest.approx(estimated, rel=0.3)
-
-    def test_prediction_scales_mean(self, calibrated):
-        predicted = calibrated.predict_class_mrt_ms("buy", 100.0)
-        assert predicted == pytest.approx(100.0 * calibrated.factor("buy"))
-
-    def test_unknown_class_rejected(self, calibrated):
-        with pytest.raises(CalibrationError):
-            calibrated.factor("mystery")
-
-    def test_cross_architecture_stability(self, calibrated):
-        """Factor measured on the new server matches the established one."""
-        config = SimulationConfig(duration_s=35.0, warmup_s=8.0, seed=5)
-        other = ClassDeviationModel()
-        other.observe(
-            simulate_deployment(APP_SERV_S, mixed_workload(300, 0.25), config)
-        )
-        assert other.factor("buy") == pytest.approx(calibrated.factor("buy"), rel=0.2)
