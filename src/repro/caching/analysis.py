@@ -131,14 +131,13 @@ def solve_lqn_with_cache(
     solver_options: SolverOptions | None = None,
     tol: float = 1e-4,
     max_outer_iterations: int = 200,
-    damping: float = 0.5,
 ) -> CacheFixedPointResult:
     """Close the circular dependency with an outer fixed point.
 
     Alternates (1) a layered solve with the current miss-rate guesses as
     extra session-read database calls and (2) the Che LRU model fed with the
-    solve's per-client request rates, damping the miss-rate update, until
-    the guesses are self-consistent.
+    solve's per-client request rates, taking the implied miss rates as the
+    next guesses, until the guesses are self-consistent.
     """
     check_positive_int(cache_bytes, "cache_bytes")
     check_positive(tol, "tol")
@@ -156,9 +155,7 @@ def solve_lqn_with_cache(
         )
         history.append(dict(implied))
         delta = max(abs(implied[c] - guesses[c]) for c in guesses)
-        guesses = {
-            c: damping * implied[c] + (1.0 - damping) * guesses[c] for c in guesses
-        }
+        guesses = {c: implied[c] for c in guesses}
         if delta < tol:
             return CacheFixedPointResult(
                 solution=solution,

@@ -40,11 +40,11 @@ from repro.historical.datastore import HistoricalDataPoint
 from repro.historical.relationships import LowerEquation, UpperEquation
 from repro.historical.scaling import MaxThroughputScaling, ServerCalibration
 from repro.historical.throughput import gradient_from_think_time
-from repro.hybrid.model import lqn_max_throughput
-from repro.lqn.builder import build_trade_model
-from repro.lqn.solver import LqnSolver
+from repro.hybrid.model import network_max_throughput
+from repro.lqn.builder import TradeModelParameters, build_trade_model
+from repro.lqn.solver import LqnSolver, PreparedNetwork
 from repro.prediction.accuracy import mean_accuracy
-from repro.servers.catalogue import APP_SERV_S, ESTABLISHED_SERVERS, architecture
+from repro.servers.catalogue import APP_SERV_S, ESTABLISHED_SERVERS
 from repro.util.errors import CalibrationError
 from repro.util.tables import format_series
 from repro.workload.trade import typical_workload
@@ -61,17 +61,16 @@ _UPPER_EVAL = (1.15, 1.35, 1.60, 1.85)
 @dataclass
 class _Context:
     solver: LqnSolver
-    parameters: object
+    # Each server's browse-only network, prepared once: every data point
+    # of a server is a load on it.
+    networks: dict[str, PreparedNetwork]
     n_at_max: dict[str, float]
     gradient: float
 
 
 def _lqn_point(ctx: _Context, server: str, n: int) -> HistoricalDataPoint:
     """One LQN-generated pseudo-historical data point."""
-    model = build_trade_model(
-        architecture(server), typical_workload(max(1, n)), ctx.parameters
-    )
-    solution = ctx.solver.solve(model)
+    solution = ctx.solver.solve_network(ctx.networks[server], (max(1, n),))
     return HistoricalDataPoint(
         server=server,
         n_clients=max(1, n),
@@ -158,18 +157,24 @@ def _sweep_point(
     return mean_accuracy(pairs)
 
 
-def run(fast: bool = False) -> ExperimentResult:
-    """Sweep x and report lower/upper-equation accuracy on the new server."""
-    parameters = gt.lqn_calibration(fast=fast).to_model_parameters()
+def _context(parameters: TradeModelParameters) -> _Context:
+    """Prepare each server's network once and find its max-throughput load."""
     solver = LqnSolver(PAPER_SOLVER_OPTIONS)  # the paper's 20 ms criterion
     gradient = gradient_from_think_time(7000.0)
+    networks: dict[str, PreparedNetwork] = {}
     n_at_max: dict[str, float] = {}
     for arch in (*ESTABLISHED_SERVERS, APP_SERV_S):
         probe = build_trade_model(arch, typical_workload(100), parameters)
-        n_at_max[arch.name] = lqn_max_throughput(probe) / gradient
-    ctx = _Context(
-        solver=solver, parameters=parameters, n_at_max=n_at_max, gradient=gradient
-    )
+        network = networks[arch.name] = solver.prepare(probe)
+        n_at_max[arch.name] = (
+            network_max_throughput(network, network.load_of(probe)[0]) / gradient
+        )
+    return _Context(solver=solver, networks=networks, n_at_max=n_at_max, gradient=gradient)
+
+
+def run(fast: bool = False) -> ExperimentResult:
+    """Sweep x and report lower/upper-equation accuracy on the new server."""
+    ctx = _context(gt.lqn_calibration(fast=fast).to_model_parameters())
 
     xs = [15, 30, 60, 120, 240, 420] if fast else [10, 15, 30, 60, 90, 120, 180, 240, 320, 420, 540]
     lower_acc: list[float] = []

@@ -41,10 +41,20 @@ _MEMORY: dict[Any, Any] = {}
 
 # Packages and modules whose code determines every disk-cached value:
 # measurements are keyed by server *name*, so the catalogue's specs and the
-# benchmark are part of what a key means.
+# benchmark are part of what a key means.  Of ``workload`` only the modules
+# a measurement imports count, and ``util/rng.py`` seeds every simulated
+# stream.
 _SOURCE_DIRS: tuple[Path, ...] = tuple(
     Path(__file__).resolve().parents[1] / source
-    for source in ("simulation", "workload", "servers", "lqn/calibration.py")
+    for source in (
+        "simulation",
+        "workload/operations.py",
+        "workload/service_class.py",
+        "workload/trade.py",
+        "servers",
+        "lqn/calibration.py",
+        "util/rng.py",
+    )
 )
 
 

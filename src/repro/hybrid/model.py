@@ -20,13 +20,14 @@ paper measures an 11 s mean start-up delay for its setup, after which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.historical.datastore import HistoricalDataPoint, HistoricalDataStore
 from repro.historical.model import HistoricalModel
 from repro.historical.throughput import gradient_from_think_time
 from repro.lqn.builder import TradeModelParameters, build_trade_model
 from repro.lqn.model import LqnModel
-from repro.lqn.solver import LqnSolver, SolverOptions
+from repro.lqn.solver import LqnSolver, NetworkPoint, PreparedNetwork, SolverOptions
 from repro.servers.architecture import ServerArchitecture
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
@@ -37,6 +38,7 @@ from repro.workload.trade import mixed_workload, typical_workload
 
 __all__ = [
     "lqn_max_throughput",
+    "network_max_throughput",
     "HybridCalibrationReport",
     "AdvancedHybridModel",
     "BasicHybridModel",
@@ -60,12 +62,19 @@ def lqn_max_throughput(model: LqnModel) -> float:
     """
     require(len(model.reference_tasks()) >= 1, "model needs at least one reference task")
     network = LqnSolver().prepare(model)
+    return network_max_throughput(network, network.load_of(model)[0])
+
+
+def network_max_throughput(network: PreparedNetwork, populations: Sequence[float]) -> float:
+    """:func:`lqn_max_throughput` of a prepared network at ``populations``.
+
+    For callers that go on to solve the same network, so it is prepared
+    once.
+    """
     # Weight per-class demands by population to get the workload-mix demand.
-    populations, _ = network.load_of(model)
     total = sum(populations)
     if total == 0:
         raise CalibrationError("model has zero clients")
-    demand = 0.0
     best = 0.0
     for k, station in enumerate(network.stations):
         if station.waiting_only:
@@ -137,26 +146,26 @@ class AdvancedHybridModel:
             upper_fracs = _spread(UPPER_POINT_FRACTIONS, points_per_equation)
 
             # The whole (server × load-fraction) calibration grid is one
-            # sweep: collect every pseudo-historical point's model first,
-            # then batch-solve them together; each data point stays
+            # sweep: every point of a server shares its probe's structure
+            # (one browse class), so the probe is prepared once and the
+            # grid solved in one batch; each data point stays
             # bit-identical to a per-point solve.
             grid: list[tuple[str, int]] = []
-            grid_models: list[LqnModel] = []
+            points: list[NetworkPoint] = []
             for arch in target_servers:
                 probe = build_trade_model(arch, typical_workload(100), parameters)
-                mx = lqn_max_throughput(probe)
+                network = solver.prepare(probe)
+                mx = network_max_throughput(network, network.load_of(probe)[0])
                 max_throughputs[arch.name] = mx
                 n_at_max = mx / gradient
                 for frac in (*lower_fracs, *upper_fracs):
                     n = max(1, int(round(frac * n_at_max)))
                     grid.append((arch.name, n))
-                    grid_models.append(
-                        build_trade_model(arch, typical_workload(n), parameters)
-                    )
+                    points.append((network, (n,), ()))
                 report.per_server_points[arch.name] = len(lower_fracs) + len(upper_fracs)
                 report.data_points += report.per_server_points[arch.name]
 
-            solutions = solver.solve_sweep(grid_models)
+            solutions = solver.solve_networks(points)
             report.lqn_solves += len(solutions)
             for (server_name, n), solution in zip(grid, solutions):
                 store.add(

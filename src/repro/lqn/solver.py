@@ -169,39 +169,6 @@ class PreparedNetwork:
 NetworkPoint = tuple[PreparedNetwork, Sequence[float], Sequence[float]]
 
 
-def _structure_key(model: LqnModel) -> tuple:
-    """Everything a model's prepared network depends on.
-
-    That is the whole model except the load: a closed reference task's
-    multiplicity and an open one's arrival rate (only whether it is open
-    counts).  Models with equal keys prepare to equal networks.  Plain
-    values only (enums by value), so hashing and comparing a key stays in
-    C: a small fraction of a :meth:`LqnSolver.prepare`.
-    """
-    key: list[tuple] = [
-        (name, p.name, p.scheduling.value, p.multiplicity, p.speed, p.queue_capacity)
-        for name, p in model.processors.items()
-    ]
-    for name, task in model.tasks.items():
-        key.append(
-            (name, task.name, task.processor, task.think_time_ms, task.is_open_reference)
-            if task.is_reference
-            else (name, task.name, task.processor, task.multiplicity)
-        )
-        key.append(
-            tuple(
-                (
-                    entry.name,
-                    entry.demand_ms,
-                    entry.phase2_demand_ms,
-                    tuple([(c.target_entry, c.mean_calls, c.kind.value) for c in entry.calls]),
-                )
-                for entry in task.entries
-            )
-        )
-    return tuple(key)
-
-
 def _stack(points: Sequence[NetworkPoint]) -> MvaBatchInput:
     """Stack points of one network signature into a batch.
 
@@ -261,16 +228,11 @@ class LqnSolver:
     def solve(self, model: LqnModel) -> LqnSolution:
         """Solve ``model`` and return steady-state predictions.
 
-        Prepares the model's network, then solves it as
+        The one-shot convenience for a structure solved once: prepares
+        ``model`` inside the solve's span and timing, then solves it as
         :meth:`solve_network` does.
         """
-        if INJECTOR.armed:
-            INJECTOR.fire("lqn.solve")
-        start = self._clock.perf_s()
-        with TRACER.span("lqn.solve") as span:
-            network = self.prepare(model)
-            populations, rates = network.load_of(model)
-            return self._solve_one(span, start, (network, populations, rates))
+        return self._solve([model])[0]
 
     def solve_network(
         self,
@@ -283,38 +245,7 @@ class LqnSolver:
         Bit-identical to :meth:`solve` on a model that prepares to
         ``network`` with this load, without building or preparing one.
         """
-        if INJECTOR.armed:
-            INJECTOR.fire("lqn.solve")
-        start = self._clock.perf_s()
-        with TRACER.span("lqn.solve") as span:
-            return self._solve_one(span, start, (network, populations, open_rates_per_s))
-
-    def solve_sweep(self, models: list[LqnModel]) -> list[LqnSolution]:
-        """Solve a whole sweep of models as (a few) NumPy batches.
-
-        Models of equal structure (all but their populations and arrival
-        rates) share one :meth:`prepare`, so a sweep over client counts
-        builds its network once; then the points go through
-        :meth:`solve_networks`.  Results come back in input order, each
-        what ``solve`` gives on that model, bit for bit.
-        """
-        models = list(models)
-        if not models:
-            return []
-        if INJECTOR.armed:
-            for _ in models:
-                INJECTOR.fire("lqn.solve")
-        start = self._clock.perf_s()
-        with TRACER.span("lqn.sweep") as span:
-            networks: dict[tuple, PreparedNetwork] = {}
-            points: list[NetworkPoint] = []
-            for model in models:
-                key = _structure_key(model)
-                network = networks.get(key)
-                if network is None:
-                    network = networks[key] = self.prepare(model)
-                points.append((network, *network.load_of(model)))
-            return self._solve_many(span, start, points)
+        return self._solve([(network, populations, open_rates_per_s)])[0]
 
     def solve_networks(self, points: Sequence[NetworkPoint]) -> list[LqnSolution]:
         """Solve a sweep of ``(network, populations, open rates)`` points.
@@ -333,61 +264,69 @@ class LqnSolver:
         the sweep's wall time divided evenly across its points.
         """
         points = list(points)
-        if not points:
-            return []
+        return self._solve(points, sweep=True) if points else []
+
+    def _solve(
+        self, points: list[NetworkPoint | LqnModel], *, sweep: bool = False
+    ) -> list[LqnSolution]:
+        """The one solve body behind every public entry.
+
+        Fires the ``lqn.solve`` fault once per point, stacks the points
+        by network signature, iterates each stack, counts and packages.
+        A one-point solve traces as ``lqn.solve``, a sweep as
+        ``lqn.sweep``.  A bare model (from :meth:`solve`) is prepared
+        inside the span, so its preparation is timed and traced with it.
+        """
         if INJECTOR.armed:
             for _ in points:
                 INJECTOR.fire("lqn.solve")
         start = self._clock.perf_s()
-        with TRACER.span("lqn.sweep") as span:
-            return self._solve_many(span, start, points)
+        with TRACER.span("lqn.sweep" if sweep else "lqn.solve") as span:
+            if isinstance(points[0], LqnModel):
+                model = points[0]
+                network = self.prepare(model)
+                points = [(network, *network.load_of(model))]
+            groups: dict[tuple, list[int]] = {}
+            for i, (network, _, _) in enumerate(points):
+                groups.setdefault(network.signature, []).append(i)
 
-    def _solve_one(self, span, start: float, point: NetworkPoint) -> LqnSolution:
-        network = point[0]
-        batch = _stack([point])
-        with TRACER.span("lqn.iterate"):
-            result = self._iterate_batch(batch)[0]
-        elapsed = self._clock.perf_s() - start
-        with self._lock:
-            self.solve_count += 1
-        span.set_attribute("classes", len(network.class_names) + len(network.open_class_names))
-        span.set_attribute("stations", len(network.stations))
-        span.set_attribute("iterations", result[0].iterations)
-        return self._package(network, point[2], result, elapsed)
+            results: list[tuple | None] = [None] * len(points)
+            for indices in groups.values():
+                with TRACER.span("lqn.iterate") as group_span:
+                    if sweep:
+                        group_span.set_attribute("points", len(indices))
+                    solved = self._iterate_batch(_stack([points[i] for i in indices]))
+                for i, result in zip(indices, solved):
+                    results[i] = result
 
-    def _solve_many(self, span, start: float, points: list[NetworkPoint]) -> list[LqnSolution]:
-        groups: dict[tuple, list[int]] = {}
-        for i, (network, _, _) in enumerate(points):
-            groups.setdefault(network.signature, []).append(i)
-
-        results: list[tuple | None] = [None] * len(points)
-        for indices in groups.values():
-            with TRACER.span("lqn.iterate") as group_span:
-                group_span.set_attribute("points", len(indices))
-                solved = self._iterate_batch(_stack([points[i] for i in indices]))
-            for i, result in zip(indices, solved):
-                results[i] = result
-
-        elapsed = self._clock.perf_s() - start
-        with self._lock:
-            self.solve_count += len(points)
-        span.set_attribute("models", len(points))
-        span.set_attribute("groups", len(groups))
-        per_point_s = elapsed / len(points)
-        return [
-            self._package(network, rates, results[i], per_point_s)
-            for i, (network, _, rates) in enumerate(points)
-        ]
+            elapsed = self._clock.perf_s() - start
+            with self._lock:
+                self.solve_count += len(points)
+            if sweep:
+                span.set_attribute("models", len(points))
+                span.set_attribute("groups", len(groups))
+            else:
+                network = points[0][0]
+                span.set_attribute(
+                    "classes", len(network.class_names) + len(network.open_class_names)
+                )
+                span.set_attribute("stations", len(network.stations))
+                span.set_attribute("iterations", results[0][0].iterations)
+            per_point_s = elapsed / len(points)
+            return [
+                self._package(network, rates, results[i], per_point_s)
+                for i, (network, _, rates) in enumerate(points)
+            ]
 
     # -- preparation ----------------------------------------------------------
 
     def prepare(self, model: LqnModel) -> PreparedNetwork:
         """Validate ``model`` and build its network, load left out.
 
-        The one builder behind every solve: :meth:`solve` and
-        :meth:`solve_sweep` prepare their models here, and callers that
-        solve one structure at many loads prepare it once and call
-        :meth:`solve_network` / :meth:`solve_networks`.
+        The one builder behind every solve: :meth:`solve` prepares its
+        model here, and callers that solve one structure at many loads
+        prepare it once and call :meth:`solve_network` /
+        :meth:`solve_networks`.
         """
         model.validate()
         classes = model.reference_tasks()

@@ -1,10 +1,13 @@
 """Tests for the memoised ground-truth measurement layer."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import ground_truth as gt
+
+REPRO = Path(gt.__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -108,13 +111,64 @@ class TestSourceDigestKey:
         assert gt._source_digest() != before
 
     def test_real_digest_covers_simulation_and_workload(self):
-        assert [d.name for d in gt._SOURCE_DIRS] == [
+        assert [d.relative_to(REPRO).as_posix() for d in gt._SOURCE_DIRS] == [
             "simulation",
-            "workload",
+            "workload/operations.py",
+            "workload/service_class.py",
+            "workload/trade.py",
             "servers",
-            "calibration.py",
+            "lqn/calibration.py",
+            "util/rng.py",
         ]
         assert all(d.exists() for d in gt._SOURCE_DIRS)
+
+    def test_digest_covers_every_module_a_measurement_imports(self):
+        """Walk the ``repro.*`` imports from the simulator, the servers and
+        the LQN calibration: each module reached under ``simulation``,
+        ``servers``, ``workload`` or ``util/rng`` must be hashed.  Modules
+        outside those (validation, units, errors, tracing) do not shape a
+        measured value and are not followed."""
+        tracked = ("simulation/", "servers/", "workload/", "util/rng.py")
+
+        def covered(path: Path) -> bool:
+            return any(path == d or d in path.parents for d in gt._SOURCE_DIRS)
+
+        def imports(path: Path) -> set[Path]:
+            found: set[Path] = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = (
+                    [node.module or ""]
+                    if isinstance(node, ast.ImportFrom)
+                    else [alias.name for alias in node.names]
+                    if isinstance(node, ast.Import)
+                    else []
+                )
+                for name in names:
+                    if name.startswith("repro."):
+                        module = REPRO.joinpath(*name.split(".")[1:])
+                        found.add(
+                            module / "__init__.py" if module.is_dir() else module.with_suffix(".py")
+                        )
+            return found
+
+        roots = [
+            *(REPRO / "simulation").glob("*.py"),
+            *(REPRO / "servers").glob("*.py"),
+            REPRO / "lqn" / "calibration.py",
+        ]
+        seen: set[Path] = set()
+        pending = list(roots)
+        while pending:
+            path = pending.pop()
+            if path in seen:
+                continue
+            seen.add(path)
+            for module in imports(path):
+                relative = module.relative_to(REPRO).as_posix()
+                if relative.startswith(tracked):
+                    assert covered(module), f"{path.name} imports {relative}, not in the digest"
+                    pending.append(module)
+        assert REPRO / "util" / "rng.py" in seen
 
     def test_real_digest_reads_the_server_specs_benchmark_and_calibration(
         self, monkeypatch

@@ -250,7 +250,9 @@ def test_cold_request_models_match_restart_ladder(criterion):
         _assert_same_lqn_solution(got, want)
         assert got.iterations == steps[-1]
     # A sweep is the same solves, batched.
-    for got, want in zip(fused.solve_sweep(models), expected):
+    networks = [fused.prepare(model) for model in models]
+    points = [(network, *network.load_of(model)) for network, model in zip(networks, models)]
+    for got, want in zip(fused.solve_networks(points), expected):
         _assert_same_lqn_solution(got, want)
 
 

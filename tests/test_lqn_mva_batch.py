@@ -11,7 +11,7 @@ that claim down at both layers:
 * ``solve_batch`` vs per-point ``solve_bard_schweitzer`` (which *is* a
   batch of one) — hypothesis-generated multiclass networks, exact
   equality;
-* ``LqnSolver.solve_sweep`` vs a loop of ``LqnSolver.solve`` on real
+* ``LqnSolver.solve_networks`` vs a loop of ``LqnSolver.solve`` on real
   trade models — exact equality.
 """
 
@@ -240,9 +240,17 @@ def sweep_models():
     return models
 
 
+def _sweep(solver, models):
+    """Solve ``models`` as one sweep, one network prepared per model."""
+    networks = [solver.prepare(model) for model in models]
+    return solver.solve_networks(
+        [(network, *network.load_of(model)) for network, model in zip(networks, models)]
+    )
+
+
 def test_cold_sweep_is_bitwise_identical_to_solve_loop(solver, sweep_models):
     serial = [solver.solve(model) for model in sweep_models]
-    swept = solver.solve_sweep(sweep_models)
+    swept = _sweep(solver, sweep_models)
     assert len(swept) == len(serial)
     for a, b in zip(serial, swept):
         assert a.response_ms == b.response_ms
@@ -259,7 +267,7 @@ def test_sweep_returns_solutions_in_input_order(solver, sweep_models):
     # Grouping by structure happens inside the sweep; results must come
     # back aligned with the request, interleaved architectures and all.
     shuffled = sweep_models[::2] + sweep_models[1::2]
-    swept = solver.solve_sweep(shuffled)
+    swept = _sweep(solver, shuffled)
     for model, solution in zip(shuffled, swept):
         reference = {t.name for t in model.reference_tasks()}
         assert set(solution.response_ms) == reference

@@ -6,9 +6,9 @@ model, flattens the call graph, builds and validates an
 :class:`~repro.lqn.mva.MvaInput` with the model's populations, and
 packages the result from the model.  That path is kept here verbatim as
 test code (only ``_iterate_batch``, the fixed point both share, is
-inherited; ``solve_sweep`` stacks with ``MvaBatchInput.from_points``).
-``solve``, ``solve_sweep``, ``solve_network(s)`` and every
-``LqnPredictor`` entry point must reproduce it bit for bit: every
+inherited; its ``solve_sweep`` prepares every model and stacks with
+``MvaBatchInput.from_points``).  ``solve``, ``solve_network(s)`` and
+every ``LqnPredictor`` entry point must reproduce it bit for bit: every
 :class:`~repro.lqn.results.LqnSolution` field but the wall clock.
 """
 
@@ -20,7 +20,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.experiments import fig3
+from repro.experiments.scenario import PAPER_SOLVER_OPTIONS
 from repro.faults.injector import INJECTOR
+from repro.historical.datastore import HistoricalDataPoint
+from repro.historical.model import HistoricalModel
+from repro.hybrid import model as hybrid_model
+from repro.hybrid.model import AdvancedHybridModel, lqn_max_throughput
 from repro.lqn.builder import RequestTypeParameters, TradeModelParameters, build_trade_model
 from repro.lqn.model import Call, CallKind, Entry, LqnModel, Processor, Scheduling, Task
 from repro.lqn.mva import MvaBatchInput, MvaInput, Station, StationKind
@@ -31,7 +37,7 @@ from repro.servers.catalogue import APP_SERV_F, APP_SERV_S, APP_SERV_VF
 from repro.trace import TRACER, RingBufferSink
 from repro.trace.events import END
 from repro.util.errors import CalibrationError, ModelError, ValidationError
-from repro.workload.trade import browse_class, mixed_workload
+from repro.workload.trade import browse_class, mixed_workload, typical_workload
 
 # ---------------------------------------------------------------------------
 # The per-model solve path, verbatim.
@@ -499,15 +505,19 @@ def test_sweep_prepares_each_structure_once_and_matches_the_per_model_path():
     kinds = [kind for _ in LOADS for kind in sorted(MODELS)]
     models = [MODELS[kind](n) for n in LOADS for kind in sorted(MODELS)]
     solver = CountingSolver()
-    swept = solver.solve_sweep(models)
     # One structure per kind and set of populated classes (one client at a
     # buy fraction below 0.5 has no buy client).  The open models' arrival
     # rates vary with n: a rate is load, not structure.
-    structures = {
-        (kind, tuple(task.name for task in model.reference_tasks()))
-        for kind, model in zip(kinds, models)
-    }
-    assert solver.prepared == len(structures) == len(MODELS) + 4
+    networks = {}
+    points = []
+    for kind, model in zip(kinds, models):
+        structure = (kind, tuple(task.name for task in model.reference_tasks()))
+        if structure not in networks:
+            networks[structure] = solver.prepare(model)
+        network = networks[structure]
+        points.append((network, *network.load_of(model)))
+    swept = solver.solve_networks(points)
+    assert solver.prepared == len(networks) == len(MODELS) + 4
     assert solver.solve_count == len(models)
     for got, want in zip(swept, ReferenceSolver().solve_sweep(models)):
         assert_same_solution(got, want)
@@ -532,7 +542,9 @@ def test_a_sweep_equals_a_loop_of_solves(kind):
     # depend on the points it was swept with.
     solver = LqnSolver()
     models = [MODELS[kind](n) for n in LOADS]
-    for model, got in zip(models, solver.solve_sweep(models)):
+    prepared = [solver.prepare(model) for model in models]
+    points = [(network, *network.load_of(model)) for network, model in zip(prepared, models)]
+    for model, got in zip(models, solver.solve_networks(points)):
         assert_same_solution(got, solver.solve(model))
     network = solver.prepare(models[-1])
     points = [(network, *network.load_of(model)) for model in models[1:]]
@@ -543,9 +555,12 @@ def test_a_sweep_equals_a_loop_of_solves(kind):
 def test_different_structures_in_one_sweep_prepare_separately():
     a = build_trade_model(APP_SERV_F, mixed_workload(100, 0.0), PARAMS)
     b = build_trade_model(APP_SERV_S, mixed_workload(100, 0.0), PARAMS)
-    solver = CountingSolver()
-    got = solver.solve_sweep([a, b, a])
-    assert solver.prepared == 2
+    solver = LqnSolver()
+    network_a, network_b = solver.prepare(a), solver.prepare(b)
+    # The two servers' networks differ only in demands, so they stack.
+    assert network_a.signature == network_b.signature
+    points = [(network_a, (100,), ()), (network_b, (100,), ()), (network_a, (100,), ())]
+    got = solver.solve_networks(points)
     for model, solution in zip([a, b, a], got):
         assert_same_solution(solution, ReferenceSolver().solve(model))
     assert got[0] is not got[2]
@@ -575,7 +590,9 @@ def test_a_bad_open_rate_is_refused():
 def test_a_model_without_clients_is_still_refused():
     model = LqnModel()
     with pytest.raises(ModelError):
-        LqnSolver().solve_sweep([model])
+        LqnSolver().prepare(model)
+    with pytest.raises(ModelError):
+        LqnSolver().solve(model)
 
 
 def test_prepared_networks_are_read_only():
@@ -585,6 +602,52 @@ def test_prepared_networks_are_read_only():
             array[...] = 0.0
     with pytest.raises(AttributeError):
         network.stations = ()
+
+
+# ---------------------------------------------------------------------------
+# Callers that prepare a structure once: the hybrid grid and fig3.
+
+
+def _per_model_point(solver, arch, n):
+    """A pseudo-historical data point from a model built and solved alone."""
+    solution = solver.solve(build_trade_model(arch, typical_workload(n), PARAMS))
+    return HistoricalDataPoint(
+        server=arch.name,
+        n_clients=n,
+        mean_response_ms=solution.mean_response_ms(),
+        throughput_req_per_s=solution.total_throughput_req_per_s(),
+        n_samples=1,
+    )
+
+
+def test_hybrid_grid_and_fig3_points_equal_per_model_solves(monkeypatch):
+    calibrated = []
+    calibrate = HistoricalModel.calibrate
+
+    def recording_calibrate(store, max_throughputs, **kwargs):
+        calibrated.append((store.all_points(), max_throughputs))
+        return calibrate(store, max_throughputs, **kwargs)
+
+    monkeypatch.setattr(hybrid_model.HistoricalModel, "calibrate", recording_calibrate)
+    servers = [APP_SERV_S, APP_SERV_F, APP_SERV_VF]
+    AdvancedHybridModel.build(PARAMS, servers, points_per_equation=3)
+    ((points, max_throughputs),) = calibrated
+    assert len(points) == 3 * 6
+    for point in points:
+        want = _per_model_point(LqnSolver(), ARCHITECTURES[point.server], point.n_clients)
+        assert repr(point) == repr(want)
+    for arch in servers:
+        probe = build_trade_model(arch, typical_workload(100), PARAMS)
+        assert repr(max_throughputs[arch.name]) == repr(lqn_max_throughput(probe))
+
+    ctx = fig3._context(PARAMS)
+    for arch in servers:
+        probe = build_trade_model(arch, typical_workload(100), PARAMS)
+        n_star = lqn_max_throughput(probe) / ctx.gradient
+        assert repr(ctx.n_at_max[arch.name]) == repr(n_star)
+        for n in (1, 37, int(0.66 * n_star), int(1.6 * n_star), 2 * int(n_star)):
+            want = _per_model_point(LqnSolver(PAPER_SOLVER_OPTIONS), arch, n)
+            assert repr(fig3._lqn_point(ctx, arch.name, n)) == repr(want)
 
 
 # ---------------------------------------------------------------------------

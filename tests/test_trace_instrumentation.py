@@ -92,7 +92,8 @@ class TestSolverInstrumentation:
             for n in (100, 200, 300, 400, 500, 600)
         ]
         solver = LqnSolver(SolverOptions(convergence_criterion_ms=0.5))
-        solver.solve_sweep(models)
+        network = solver.prepare(models[0])
+        solver.solve_networks([(network, *network.load_of(model)) for model in models])
         events = sink.events()
 
         (sweep,) = spans_named(events, "lqn.sweep")

@@ -48,7 +48,7 @@ from repro.lqn.builder import (
 )
 from repro.lqn.loss import solve_batch_with_loss
 from repro.lqn.mva import MvaBatchInput, MvaInput, Station, solve_batch
-from repro.lqn.solver import LqnSolver, SolverOptions
+from repro.lqn.solver import LqnSolver, PreparedNetwork, SolverOptions
 from repro.servers.catalogue import ALL_APP_SERVERS, APP_SERV_S
 from repro.trace import TRACER
 from repro.util.rng import spawn_rng
@@ -207,15 +207,17 @@ def _n_at_max() -> dict[str, float]:
 
 
 def _grid(fraction_weights: list[tuple[float, int]]):
-    """Build (model, serial_solves) pairs over architectures x fractions."""
+    """Build (model, serial_solves, (architecture, clients)) triples over
+    architectures x fractions."""
     n_at_max = _n_at_max()
-    models, weights = [], []
+    models, weights, loads = [], [], []
     for arch in ALL_APP_SERVERS:
         for frac, weight in fraction_weights:
             n = max(1, int(round(frac * n_at_max[arch.name])))
             models.append(build_trade_model(arch, typical_workload(n), PARAMS))
             weights.append(weight)
-    return models, weights
+            loads.append((arch.name, n))
+    return models, weights, loads
 
 
 def _fig6_grid():
@@ -224,17 +226,18 @@ def _fig6_grid():
 
     n_at_max = _n_at_max()
     arch_by_name = {arch.name: arch for arch in ALL_APP_SERVERS}
-    models, weights = [], []
+    models, weights, loads = [], [], []
     for server in rm_server_pool():
         arch = arch_by_name[server.architecture]
         for frac in FIG6_FRACTIONS:
             n = max(1, int(round(frac * n_at_max[arch.name])))
             models.append(build_trade_model(arch, typical_workload(n), PARAMS))
             weights.append(1)
-    return models, weights
+            loads.append((arch.name, n))
+    return models, weights, loads
 
 
-def _shapes() -> dict[str, tuple[list, list[int]]]:
+def _shapes() -> dict[str, tuple[list, list[int], list[tuple[str, int]]]]:
     evaluation = [(frac, 2) for frac in EVALUATION_FRACTIONS]
     calibration = [
         (frac, 1)
@@ -247,13 +250,17 @@ def _shapes() -> dict[str, tuple[list, list[int]]]:
     }
 
 
-def _measure(models: list, weights: list[int]) -> dict[str, float]:
+def _measure(
+    models: list, weights: list[int], loads: list[tuple[str, int]]
+) -> dict[str, float]:
     """Min-of-REPS wall time for the serial loop and the batched sweep.
 
-    Serial and sweep repetitions are interleaved: the sweep side is so
-    much faster that a back-to-back block of its repetitions fits inside
-    a single transient stall, which would poison every sample on that
-    side at once.
+    The sweep side prepares one network per architecture inside its timed
+    region, then solves every point in one batch, as the hybrid
+    calibration grid does.  Serial and sweep repetitions are interleaved:
+    the sweep side is so much faster that a back-to-back block of its
+    repetitions fits inside a single transient stall, which would poison
+    every sample on that side at once.
     """
     serial_s = sweep_s = float("inf")
     for _ in range(REPS):
@@ -266,7 +273,14 @@ def _measure(models: list, weights: list[int]) -> dict[str, float]:
 
         solver = LqnSolver(SOLVER_OPTIONS)
         start = time.perf_counter()
-        solver.solve_sweep(models)
+        networks: dict[str, PreparedNetwork] = {}
+        points = []
+        for model, (arch, n) in zip(models, loads):
+            network = networks.get(arch)
+            if network is None:
+                network = networks[arch] = solver.prepare(model)
+            points.append((network, (n,), ()))
+        solver.solve_networks(points)
         sweep_s = min(sweep_s, time.perf_counter() - start)
     return {
         "points": len(models),
@@ -279,7 +293,7 @@ def _measure(models: list, weights: list[int]) -> dict[str, float]:
 
 def run_shapes() -> dict[str, dict[str, float]]:
     """Measure every gated sweep shape (the BENCH_mva.json payload)."""
-    return {name: _measure(models, weights) for name, (models, weights) in _shapes().items()}
+    return {name: _measure(*shape) for name, shape in _shapes().items()}
 
 
 @pytest.mark.wallclock
