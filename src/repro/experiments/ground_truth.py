@@ -10,7 +10,9 @@ Everything here is keyed by the full parameter set, so changing the scenario
 invalidates naturally.  Disk entries are also keyed by a digest of the
 sources that produce them (the simulator, the workload and server packages
 and the LQN calibration), so a code change to any of them can never be
-served results the old code measured.
+served results the old code measured.  Entries live in one directory per
+digest, ``.repro-cache/<digest prefix>/``; each write deletes every other
+digest's directory, so the cache holds one code version's results.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import hashlib
 import os
 import pickle
+import shutil
 from pathlib import Path
 from typing import Any
 
@@ -76,15 +79,36 @@ def _source_digest() -> str:
 
 
 def _disk_cache_path() -> Path | None:
+    """``.repro-cache/<digest prefix>/``: this code's entries, one directory."""
     if os.environ.get("REPRO_NO_DISK_CACHE"):
         return None
     root = Path(os.environ.get("REPRO_CACHE_DIR", Path(__file__).resolve().parents[3]))
-    path = root / ".repro-cache"
+    path = root / ".repro-cache" / _source_digest()[:16]
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError:  # pragma: no cover - read-only filesystem
         return None
     return path
+
+
+def _prune_other_digests(path: Path) -> None:
+    """Delete everything in ``.repro-cache/`` but ``path``.
+
+    Whatever else is there was measured by other code (another digest's
+    directory, or a flat ``*.pkl`` of the layout before directories), and
+    the current code can never read it.  Called before each write, which
+    follows a measurement, so the scan costs nothing in comparison.
+    """
+    for stale in path.parent.iterdir():
+        if stale == path:
+            continue
+        try:
+            if stale.is_dir():
+                shutil.rmtree(stale)
+            else:
+                stale.unlink()
+        except OSError:  # pragma: no cover - removed concurrently, permissions
+            pass
 
 
 def _cached(key: tuple, compute):
@@ -108,6 +132,7 @@ def _cached(key: tuple, compute):
     value = compute()
     _MEMORY[key] = value
     if file is not None:
+        _prune_other_digests(disk)
         try:
             with open(file, "wb") as fh:
                 pickle.dump((disk_key, value), fh)

@@ -31,7 +31,7 @@ invert under a loose criterion — this solver reproduces that behaviour).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -146,6 +146,12 @@ class PreparedNetwork:
     task_stations: tuple[tuple[str, int], ...]
     # Networks with equal signatures stack into one MvaBatchInput.
     signature: tuple
+    # The signature as one string, for grouping: a str caches its hash, so
+    # a solve does not re-hash the nested tuple every time it groups.
+    signature_key: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signature_key", repr(self.signature))
 
     @staticmethod
     def load_of(model: LqnModel) -> tuple[list[int], list[float]]:
@@ -286,9 +292,9 @@ class LqnSolver:
                 model = points[0]
                 network = self.prepare(model)
                 points = [(network, *network.load_of(model))]
-            groups: dict[tuple, list[int]] = {}
+            groups: dict[str, list[int]] = {}
             for i, (network, _, _) in enumerate(points):
-                groups.setdefault(network.signature, []).append(i)
+                groups.setdefault(network.signature_key, []).append(i)
 
             results: list[tuple | None] = [None] * len(points)
             for indices in groups.values():

@@ -65,7 +65,14 @@ class Simulator:
         # gets the full check (and its ValidationError).
         if not (delay_ms.__class__ is float and 0.0 <= delay_ms < _INF):
             check_non_negative_real(delay_ms, "delay_ms")
-        return self.schedule_at(self._now + delay_ms, callback, priority=priority)
+        # A finite delay >= 0 from the (finite) clock is a valid time: push
+        # directly rather than re-validating it in schedule_at.
+        time_ms = self._now + delay_ms
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time_ms, priority, seq, callback)
+        heappush(self._heap, (time_ms, priority, seq, event))
+        return event
 
     def schedule_at(
         self,

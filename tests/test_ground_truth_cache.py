@@ -32,7 +32,7 @@ class TestMeasuredPointCache:
 
     def test_disk_cache_survives_memory_clear(self, isolated_cache):
         a = gt.measured_point("AppServF", 60, fast=True)
-        files_before = list((isolated_cache / ".repro-cache").glob("*.pkl"))
+        files_before = list((isolated_cache / ".repro-cache").rglob("*.pkl"))
         assert files_before
         gt.clear_memory_cache()
         b = gt.measured_point("AppServF", 60, fast=True)
@@ -100,7 +100,29 @@ class TestSourceDigestKey:
         gt.clear_memory_cache()
         assert gt._cached(("probe",), compute) == 2  # edited source: miss
         assert len(calls) == 2
-        assert len(list((isolated_cache / ".repro-cache").glob("*.pkl"))) == 2
+        # The first write under the new digest removed the old digest's entry.
+        assert len(list((isolated_cache / ".repro-cache").rglob("*.pkl"))) == 1
+
+    def test_entries_live_in_one_directory_per_digest(self, isolated_cache, fake_sources):
+        cache = isolated_cache / ".repro-cache"
+        stale_digest = cache / "0123456789abcdef"
+        stale_digest.mkdir(parents=True)
+        (stale_digest / "old.pkl").write_bytes(b"")
+        (cache / "flat-layout-entry.pkl").write_bytes(b"")
+
+        gt._cached(("probe",), lambda: 1)
+        current = cache / gt._source_digest()[:16]
+        assert list(cache.iterdir()) == [current]
+        assert len(list(current.glob("*.pkl"))) == 1
+
+        # A hit writes nothing and prunes nothing; the next write does.
+        stale_digest.mkdir()
+        gt.clear_memory_cache()
+        assert gt._cached(("probe",), lambda: 3) == 1
+        assert stale_digest.exists()
+        gt._cached(("another probe",), lambda: 2)
+        assert list(cache.iterdir()) == [current]
+        assert len(list(current.glob("*.pkl"))) == 2
 
     def test_digest_tracks_file_names_and_contents(self, fake_sources):
         before = gt._source_digest()

@@ -566,6 +566,19 @@ def test_different_structures_in_one_sweep_prepare_separately():
     assert got[0] is not got[2]
 
 
+def test_the_grouping_key_is_equal_exactly_when_the_signatures_are():
+    solver = LqnSolver()
+    networks = [solver.prepare(MODELS[kind](n)) for kind in MODELS for n in (LOADS[1], LOADS[-1])]
+    networks += [
+        solver.prepare(build_trade_model(arch, mixed_workload(100, buy), PARAMS))
+        for arch in (APP_SERV_F, APP_SERV_S)
+        for buy in (0.0, 0.25)
+    ]
+    for x in networks:
+        for y in networks:
+            assert (x.signature_key == y.signature_key) == (x.signature == y.signature)
+
+
 @pytest.mark.parametrize(
     "populations, rates",
     [((1, 2), ()), ((-1,), ()), ((math.nan,), ()), ((math.inf,), ()), ((5,), (1.0,))],
